@@ -17,15 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .spectrum import (
-    FourierState,
-    Trajectory,
-    analyze,
-    odd_padded_grid_size,
-    padded_grid_size,
-    project_leq,
-    synthesize,
-)
+from .spectrum import FourierState, Trajectory, odd_padded_grid_size, padded_grid_size
 
 
 class NumericFailure(RuntimeError):
@@ -98,15 +90,25 @@ def _conv_plan(n_max: int) -> tuple:
     return m, idx
 
 
+def _grid(c, m, idx) -> np.ndarray:
+    """Zero-pad the amplitudes c onto the length-m FFT layout idx and
+    transform to the physical grid (without the factor m)."""
+    spectrum = np.zeros(m, dtype=np.complex128)
+    spectrum[idx] = c
+    return ifft(spectrum)
+
+
 def _cubic_conv_raw(cu, cv, cw, m, idx) -> np.ndarray:
-    """Raw-array cubic convolution: one zero-padded grid round trip."""
-    su = np.zeros(m, dtype=np.complex128)
-    sv = np.zeros(m, dtype=np.complex128)
-    sw = np.zeros(m, dtype=np.complex128)
-    su[idx], sv[idx], sw[idx] = cu, cv, cw
+    """Raw-array cubic convolution: one zero-padded grid round trip.
+
+    An argument that is the same array as cu reuses its inverse FFT, so
+    the self-product costs one inverse transform instead of three.
+    """
+    gu = _grid(cu, m, idx)
+    gv = gu if cv is cu else _grid(cv, m, idx)
+    gw = gu if cw is cu else _grid(cw, m, idx)
     with np.errstate(invalid="ignore", over="ignore"):
-        prod = ifft(su) * np.conj(ifft(sv)) * ifft(sw) * (m * m)
-        return fft(prod)[idx]
+        return fft(gu * np.conj(gv) * gw * (m * m))[idx]
 
 
 def cubic_convolution(u: FourierState, v: FourierState, w: FourierState) -> FourierState:
@@ -118,21 +120,6 @@ def cubic_convolution(u: FourierState, v: FourierState, w: FourierState) -> Four
         raise ValueError("cubic_convolution requires equal n_max")
     m, idx = _conv_plan(u.n_max)
     return u.with_coeffs(_cubic_conv_raw(u.coeffs, v.coeffs, w.coeffs, m, idx))
-
-
-def cubic_convolution_direct(u: FourierState, v: FourierState, w: FourierState) -> FourierState:
-    """O(N^3) triple-loop evaluation of the cubic convolution (test oracle)."""
-    if not (u.n_max == v.n_max == w.n_max):
-        raise ValueError("cubic_convolution requires equal n_max")
-    nm = u.n_max
-    d = np.zeros(2 * nm + 1, dtype=np.complex128)
-    for n1 in range(-nm, nm + 1):
-        for n2 in range(-nm, nm + 1):
-            for n3 in range(-nm, nm + 1):
-                n = n1 - n2 + n3
-                if abs(n) <= nm:
-                    d[n + nm] += u.mode(n1) * np.conj(v.mode(n2)) * w.mode(n3)
-    return FourierState(nm, d)
 
 
 def nonlinearity_resonant(u: FourierState) -> FourierState:
@@ -165,160 +152,133 @@ def _nonlinear_rhs_raw(c: np.ndarray, kind: EquationKind, m, idx) -> np.ndarray:
     return kind.mu * (-1j * conv + 2j * mass * c)
 
 
-def _nonlinear_rhs(u: FourierState, kind: EquationKind) -> np.ndarray:
-    m, idx = _conv_plan(u.n_max)
-    return _nonlinear_rhs_raw(u.coeffs, kind, m, idx)
-
-
 def rhs(u: FourierState, kind: EquationKind, truncation: int | None = None) -> FourierState:
     """Full time derivative dc/dt, optionally with projected nonlinearity."""
     n4 = u.modes.astype(np.float64) ** 4
     if truncation is not None:
-        if truncation > u.n_max:
-            raise ValueError("truncation exceeds state n_max")
         _check_support(u, truncation)
-    nl = _nonlinear_rhs(u, kind)
+    nl = _nonlinear_rhs_raw(u.coeffs, kind, *_conv_plan(u.n_max))
     if truncation is not None:
         nl = np.where(np.abs(u.modes) <= truncation, nl, 0.0)
     return u.with_coeffs(1j * n4 * u.coeffs + nl)
 
 
 def _check_support(u: FourierState, truncation: int) -> None:
+    if truncation > u.n_max:
+        raise ValueError("truncation exceeds state n_max")
     if np.any(u.coeffs[np.abs(u.modes) > truncation] != 0.0):
         raise ValueError(
             f"truncated run requires data supported in |n| <= {truncation}"
         )
 
 
-def _step_exp_rk4(u: FourierState, dt: float, kind: EquationKind,
-                  truncation: int | None) -> FourierState:
-    """Lawson (interaction-picture) RK4: the linear phase is exact."""
-    modes = u.modes
-    n4 = modes.astype(np.float64) ** 4
-    e_half = np.exp(0.5j * dt * n4)
+def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
+    """Raw-array one-step map c -> c(dt) for amplitudes n = -n_max..n_max.
+
+    The phases e^{i dt n^4/2}, the FFT layout and the truncation mask are
+    built once here, so a run pays for them once rather than every step.
+    EXP_RK4 is Lawson (interaction-picture) RK4: the linear phase is exact.
+    STRANG treats 2*n_max+1 as its collocation grid (the caller lifts the
+    state first) and every substep is unitary.
+    """
+    dt = spec.dt
+    modes = np.arange(-n_max, n_max + 1)
+    e_half = np.exp(0.5j * dt * modes.astype(np.float64) ** 4)
+
+    if spec.scheme is Scheme.STRANG:
+        m, idx = len(modes), modes % len(modes)
+
+        def strang(c):
+            c = e_half * c
+            if kind.mu != 0:
+                grid = _grid(c, m, idx) * m
+                phase = -kind.mu * np.abs(grid) ** 2 * dt
+                if kind.kind is Kind.WICK_4WNLS:
+                    phase = phase + 2.0 * kind.mu * np.sum(np.abs(c) ** 2) * dt
+                c = (fft(grid * np.exp(1j * phase)) / m)[idx]
+            return e_half * c
+
+        return strang
+
     e_full = e_half * e_half
-    m, idx = _conv_plan(u.n_max)
-
-    if truncation is not None:
-        keep = np.abs(modes) <= truncation
-
-        def nl(c):
-            out = _nonlinear_rhs_raw(c, kind, m, idx)
-            return np.where(keep, out, 0.0)
-    else:
+    back_half, back_full = np.conj(e_half), np.conj(e_full)
+    m, idx = _conv_plan(n_max)
+    if spec.truncation is None:
         def nl(c):
             return _nonlinear_rhs_raw(c, kind, m, idx)
+    else:
+        keep = np.abs(modes) <= spec.truncation
 
-    c0 = u.coeffs
-    k1 = nl(c0)
-    k2 = np.conj(e_half) * nl(e_half * (c0 + 0.5 * dt * k1))
-    k3 = np.conj(e_half) * nl(e_half * (c0 + 0.5 * dt * k2))
-    k4 = np.conj(e_full) * nl(e_full * (c0 + dt * k3))
-    a1 = c0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u.with_coeffs(e_full * a1)
+        def nl(c):
+            return np.where(keep, _nonlinear_rhs_raw(c, kind, m, idx), 0.0)
+
+    def rk4(c0):
+        k1 = nl(c0)
+        k2 = back_half * nl(e_half * (c0 + 0.5 * dt * k1))
+        k3 = back_half * nl(e_half * (c0 + 0.5 * dt * k2))
+        k4 = back_full * nl(e_full * (c0 + dt * k3))
+        return e_full * (c0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+    return rk4
 
 
-def _step_strang_inplace(c: np.ndarray, n4: np.ndarray, fft_index: np.ndarray,
-                         dt: float, kind: EquationKind) -> np.ndarray:
-    """One Strang step on a full collocation grid; every substep is unitary.
+def _run(u0: FourierState, k: int, spec: IntegratorSpec, kind: EquationKind,
+         sample_stride: int) -> list:
+    """Take k steps from u0 on raw arrays; return the state every
+    sample_stride steps, starting with the datum (lifted under STRANG).
 
-    c holds the 2G+1 amplitudes for n = -G..G with grid size M = 2G+1.
+    Raises ValueError for a truncation the datum does not satisfy and
+    NumericFailure(i) when step i leaves non-finite amplitudes.
     """
-    m = len(c)
-    half = np.exp(0.5j * dt * n4)
-    c = half * c
-    if kind.mu != 0:
-        spec = np.zeros(m, dtype=np.complex128)
-        spec[fft_index] = c
-        grid = ifft(spec) * m
-        phase = -kind.mu * np.abs(grid) ** 2 * dt
-        if kind.kind is Kind.WICK_4WNLS:
-            mass = np.sum(np.abs(c) ** 2)
-            phase = phase + 2.0 * kind.mu * mass * dt
-        grid = grid * np.exp(1j * phase)
-        c = (fft(grid) / m)[fft_index]
-    return half * c
-
-
-def _strang_lift(u: FourierState) -> FourierState:
-    """Zero-pad so the collocation grid 2*n_max+1 is alias-safe and odd."""
-    m = odd_padded_grid_size(u.n_max)
-    return u.pad_to((m - 1) // 2)
+    if spec.truncation is not None:
+        _check_support(u0, spec.truncation)
+    if spec.scheme is Scheme.STRANG:
+        # zero-pad so the collocation grid 2*n_max+1 is alias-safe and odd
+        u0 = u0.pad_to((odd_padded_grid_size(u0.n_max) - 1) // 2)
+    advance = _stepper(u0.n_max, spec, kind)
+    c = u0.coeffs
+    samples = [u0]
+    for i in range(k):
+        c = advance(c)
+        if not np.all(np.isfinite(c.view(np.float64))):
+            raise NumericFailure(i)
+        if (i + 1) % sample_stride == 0:
+            samples.append(FourierState(u0.n_max, c))
+    return samples
 
 
 def step(u: FourierState, spec: IntegratorSpec, kind: EquationKind) -> FourierState:
-    """Advance one step of length spec.dt; raises NumericFailure on NaN."""
-    if spec.scheme is Scheme.EXP_RK4:
-        try:
-            out = _step_exp_rk4(u, spec.dt, kind, spec.truncation)
-        except ValueError as exc:
-            # overflow inside a stage surfaces as a non-finite state
-            raise NumericFailure(0) from exc
-    else:
-        lifted = _strang_lift(u)
-        modes = lifted.modes
-        n4 = modes.astype(np.float64) ** 4
-        idx = modes % len(lifted.coeffs)
-        c = _step_strang_inplace(lifted.coeffs.copy(), n4, idx, spec.dt, kind)
-        out = FourierState(lifted.n_max, c).truncate_to(u.n_max)
-    if not np.all(np.isfinite(out.coeffs.view(np.float64))):
-        raise NumericFailure(0)
-    return out
+    """Advance one step of length spec.dt, with integrate's checks and errors.
+
+    The result has u's n_max. Under STRANG this lifts u to the collocation
+    grid, steps, and truncates back, so repeated step calls are not the map
+    integrate iterates: integrate stays on the lifted grid throughout.
+    """
+    return _run(u, 1, spec, kind, 1)[-1].truncate_to(u.n_max)
 
 
 def integrate(u0: FourierState, T: float, spec: IntegratorSpec,
               kind: EquationKind, sample_stride: int = 1) -> Trajectory:
     """Integrate from t=0 to t=T, sampling every sample_stride steps.
 
-    T must be an integer multiple of spec.dt and sample_stride must divide
-    the step count, so the returned trajectory is uniformly sampled and
-    includes both endpoints. With STRANG the state is zero-padded once to
-    the alias-safe collocation grid and evolved there without projection
-    (each substep is an l2-isometry), so the returned states carry the
-    enlarged n_max.
+    T must be a nonnegative integer multiple of spec.dt (in units of the
+    signed step) and sample_stride must divide the step count, so the
+    returned trajectory is uniformly sampled and includes both endpoints.
+    With STRANG the state is zero-padded once to the alias-safe collocation
+    grid and evolved there without projection (each substep is an
+    l2-isometry), so the returned states carry the enlarged n_max, also
+    for T = 0.
     """
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    if T == 0.0:
-        return Trajectory(0.0, spec.dt * sample_stride, (u0,))
     k_float = T / spec.dt
     k = round(k_float)
-    if k <= 0 or abs(k_float - k) > 1e-12 * max(1.0, abs(k_float)):
-        raise ValueError(f"T={T} is not a positive integer multiple of dt={spec.dt}")
+    if k < 0 or abs(k_float - k) > 1e-12 * max(1.0, abs(k_float)):
+        raise ValueError(f"T={T} is not a nonnegative integer multiple of dt={spec.dt}")
     if k % sample_stride != 0:
         raise ValueError("sample_stride must divide the number of steps")
-
-    if spec.scheme is Scheme.STRANG:
-        state = _strang_lift(u0)
-        modes = state.modes
-        n4 = modes.astype(np.float64) ** 4
-        idx = modes % len(state.coeffs)
-        c = state.coeffs.copy()
-        samples = [FourierState(state.n_max, c.copy())]
-        for i in range(k):
-            c = _step_strang_inplace(c, n4, idx, spec.dt, kind)
-            if not np.all(np.isfinite(c.view(np.float64))):
-                raise NumericFailure(i)
-            if (i + 1) % sample_stride == 0:
-                samples.append(FourierState(state.n_max, c.copy()))
-        return Trajectory(0.0, spec.dt * sample_stride, tuple(samples))
-
-    if spec.truncation is not None:
-        if spec.truncation > u0.n_max:
-            raise ValueError("truncation exceeds state n_max")
-        _check_support(u0, spec.truncation)
-    state = u0
-    samples = [state]
-    for i in range(k):
-        try:
-            state = _step_exp_rk4(state, spec.dt, kind, spec.truncation)
-        except ValueError as exc:
-            raise NumericFailure(i) from exc
-        if not np.all(np.isfinite(state.coeffs.view(np.float64))):
-            raise NumericFailure(i)
-        if (i + 1) % sample_stride == 0:
-            samples.append(state)
-    return Trajectory(0.0, spec.dt * sample_stride, tuple(samples))
+    return Trajectory(0.0, spec.dt * sample_stride,
+                      _run(u0, k, spec, kind, sample_stride))
 
 
 def exact_resonant_flow(u0: FourierState, t: float, mu: int = 1) -> FourierState:

@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,27 +21,11 @@ from .spectrum import FourierState, project_leq
 
 def derive_rng(root_seed: int, *key) -> np.random.Generator:
     """Counter-based splittable seeding: the task key (ints/strings) is
-    mapped to a spawn key, so tasks can run in any order or in parallel."""
+    mapped to a spawn key, so tasks can run in any order."""
     spawn = tuple(
         k if isinstance(k, int) else zlib.crc32(str(k).encode()) for k in key
     )
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=spawn))
-
-
-def worker_count() -> int:
-    """Worker cap from FOURNLS_THREADS (default 1: fully sequential)."""
-    try:
-        return max(1, int(os.environ.get("FOURNLS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_tasks(fn, items):
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class ProfileKind(Enum):
@@ -155,9 +137,7 @@ def _low_mode_gap(a: FourierState, b: FourierState, cutoff: int) -> float:
 
 
 def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
-                            T: float, dt: float,
-                            scheme: Scheme = Scheme.EXP_RK4,
-                            mu_sign: int = 1,
+                            T: float, dt: float, mu_sign: int = 1,
                             kind: Kind = Kind.FULL_4NLS) -> ExperimentReport:
     """Truncation-convergence ladder.
 
@@ -190,7 +170,7 @@ def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
         )
         return {"N": n, "error": err}
 
-    table = _map_tasks(one, ladder)
+    table = [one(n) for n in ladder]
     fitted = None
     if all(row["error"] > 0 for row in table) and len(table) >= 3:
         rate, intercept, resid = fit_decay_rate(
@@ -235,8 +215,7 @@ def high_frequency_perturbation(rng: np.random.Generator, n_prime: int,
 
 def run_perturbation_study(profile: ProfileSpec, n_primes,
                            perturbation_norm: float, T: float, dt: float,
-                           scheme: Scheme = Scheme.EXP_RK4, trials: int = 4,
-                           seed: int = 0, mu_sign: int = 1,
+                           trials: int = 4, seed: int = 0, mu_sign: int = 1,
                            kind: Kind = Kind.FULL_4NLS) -> ExperimentReport:
     """Low-frequency stability under high-frequency data perturbations.
 
@@ -275,7 +254,7 @@ def run_perturbation_study(profile: ProfileSpec, n_primes,
             worst = max(worst, div)
         return {"N_prime": n_prime, "divergence": worst}
 
-    table = _map_tasks(one, ladder)
+    table = [one(n) for n in ladder]
     params = {
         "profile": _profile_params(profile),
         "n_primes": ladder,
@@ -351,7 +330,7 @@ def run_squeeze_probe(u_star: FourierState, R: float, r: float, n0: int,
         margin = abs(final.mode(n0) - z) - r
         return {"label": label, "radius": radius, "margin": float(margin)}
 
-    table = _map_tasks(one, candidates)
+    table = [one(cand) for cand in candidates]
     best = max(table, key=lambda row: row["margin"])
     params = {
         "R": R,

@@ -12,7 +12,6 @@ from fournls.dynamics import (
     NumericFailure,
     Scheme,
     cubic_convolution,
-    cubic_convolution_direct,
     exact_resonant_flow,
     integrate,
     nonlinearity_nonresonant,
@@ -21,6 +20,21 @@ from fournls.dynamics import (
     step,
 )
 from fournls.spectrum import FourierState
+
+
+def cubic_convolution_direct(u, v, w):
+    """O(N^3) triple-loop evaluation of the cubic convolution (test oracle)."""
+    if not (u.n_max == v.n_max == w.n_max):
+        raise ValueError("cubic_convolution requires equal n_max")
+    nm = u.n_max
+    d = np.zeros(2 * nm + 1, dtype=np.complex128)
+    for n1 in range(-nm, nm + 1):
+        for n2 in range(-nm, nm + 1):
+            for n3 in range(-nm, nm + 1):
+                n = n1 - n2 + n3
+                if abs(n) <= nm:
+                    d[n + nm] += u.mode(n1) * np.conj(v.mode(n2)) * w.mode(n3)
+    return FourierState(nm, d)
 
 
 def random_state(n_max, seed=0, norm=1.0):
@@ -202,10 +216,19 @@ class TestIntegrate:
         assert np.all(final.coeffs[np.abs(final.modes) > 4] == 0.0)
 
     def test_truncation_support_enforced(self):
-        u0 = random_state(8, seed=2)  # full support, violates truncation=4
-        with pytest.raises(ValueError):
-            integrate(u0, 0.01, IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=4),
-                      FULL)
+        sparse = FourierState.from_modes(6, {1: 0.5, 5: 0.3})
+        cases = [
+            (random_state(8, seed=2), 4),  # full support, violates truncation=4
+            (sparse, 2),  # mode 5 outside the truncation
+            (sparse, 9),  # truncation exceeds n_max
+        ]
+        for u0, truncation in cases:
+            spec = IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=truncation)
+            for run in (lambda: integrate(u0, 0.01, spec, FULL),
+                        lambda: integrate(u0, 0.0, spec, FULL),
+                        lambda: step(u0, spec, FULL)):
+                with pytest.raises(ValueError):
+                    run()
 
     def test_numeric_failure_carries_step_index(self):
         u0 = random_state(6, seed=1, norm=1e8)
@@ -217,6 +240,12 @@ class TestIntegrate:
         u0 = random_state(3)
         tr = integrate(u0, 0.0, IntegratorSpec(dt=1e-3), FULL)
         assert len(tr) == 1 and tr.states[0] is u0
+
+    def test_strang_radius_independent_of_T(self):
+        u0 = FourierState.from_modes(6, {1: 0.5, 5: 0.3})
+        spec = IntegratorSpec(Scheme.STRANG, 1e-3)
+        radii = {integrate(u0, T, spec, FULL).n_max for T in (0.0, 1e-3, 5e-3)}
+        assert len(radii) == 1 and radii.pop() > u0.n_max
 
 
 class TestExactResonantFlow:
@@ -245,8 +274,13 @@ class TestStep:
         out = step(u0, IntegratorSpec(Scheme.STRANG, 1e-3), FULL)
         assert out.n_max == 5
 
-    def test_single_step_matches_integrate(self):
+    @pytest.mark.parametrize("truncation", [None, 5])
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_single_step_matches_integrate(self, k, truncation):
         u0 = random_state(5, seed=6)
-        one = step(u0, IntegratorSpec(Scheme.EXP_RK4, 1e-3), FULL)
-        tr = integrate(u0, 1e-3, IntegratorSpec(Scheme.EXP_RK4, 1e-3), FULL)
-        assert np.array_equal(one.coeffs, tr.states[-1].coeffs)
+        spec = IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=truncation)
+        u = u0
+        for _ in range(k):
+            u = step(u, spec, FULL)
+        tr = integrate(u0, k * 1e-3, spec, FULL, 1)
+        assert np.array_equal(u.coeffs, tr.states[-1].coeffs)

@@ -14,7 +14,6 @@ from fournls.experiments import (
     run_approximation_study,
     run_perturbation_study,
     run_squeeze_probe,
-    worker_count,
 )
 from fournls.spectrum import FourierState
 
@@ -31,24 +30,6 @@ class TestDerivedRng:
         c = derive_rng(8, "task", 3).normal(size=4)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("FOURNLS_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FOURNLS_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_threads_do_not_change_results(self, monkeypatch):
-        profile = ProfileSpec(ProfileKind.EXP_DECAY, 1.0, 0.3, seed=1)
-        monkeypatch.setenv("FOURNLS_THREADS", "1")
-        a = run_approximation_study(profile, [4, 6, 8], 2, 0.01, 1e-3)
-        monkeypatch.setenv("FOURNLS_THREADS", "4")
-        b = run_approximation_study(profile, [4, 6, 8], 2, 0.01, 1e-3)
-        assert a.table == b.table
 
 
 class TestProfiles:
