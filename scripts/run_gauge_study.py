@@ -52,8 +52,8 @@ def main() -> None:
     for tok in args.dts.split(","):
         dt = float(tok)
         spec = IntegratorSpec(Scheme.EXP_RK4, dt)
-        u = integrate(u0, args.T, spec, FULL, round(args.T / dt)).states[-1]
-        v = integrate(u0, args.T, spec, WICK, round(args.T / dt)).states[-1]
+        u = integrate(u0, args.T, spec, FULL, round(args.T / dt))[-1]
+        v = integrate(u0, args.T, spec, WICK, round(args.T / dt))[-1]
         gu = gauge_apply(u, args.T, m0)
         gap = float(np.linalg.norm(gu.coeffs - v.coeffs))
         drift = abs(mass(u) - m0) / m0

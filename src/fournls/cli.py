@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class RunConfig:
     seed: int = 0
     mu: int = 1
     deterministic: bool = False
-    artifacts: list = field(default_factory=list)
 
     def echo(self) -> dict:
         return {"subcommand": self.subcommand, "seed": self.seed,
@@ -99,6 +98,14 @@ _COMMON_KEYS = {
     "mu": (int, 1, lambda n: _choice(n, {-1, 0, 1})),
 }
 
+# the initial-datum family shared by every subcommand that builds one
+_PROFILE_KEYS = {
+    "profile": (str, "exp_decay", lambda n: _choice(n, set(_PROFILES))),
+    "amplitude": (float, 1.0, _positive),
+    "decay": (float, 0.5, _ident),
+    "mode": (int, 0, _ident),
+}
+
 _SCHEMAS = {
     "simulate": {
         "equation": (str, "full", lambda n: _choice(n, set(_KINDS))),
@@ -108,10 +115,7 @@ _SCHEMAS = {
         "scheme": (str, "exp_rk4", lambda n: _choice(n, set(_SCHEMES))),
         "stride": (int, 1, _positive),
         "truncation": (int, 0, _nonneg),  # 0 = untruncated
-        "profile": (str, "exp_decay", lambda n: _choice(n, set(_PROFILES))),
-        "amplitude": (float, 1.0, _positive),
-        "decay": (float, 0.5, _ident),
-        "mode": (int, 0, _ident),
+        **_PROFILE_KEYS,
         "state": (str, "", _ident),
         "out": (str, "trajectory.jsonl", _ident),
     },
@@ -120,10 +124,7 @@ _SCHEMAS = {
         "dt": (float, 1e-3, _positive),
         "T": (float, 1.0, _positive),
         "stride": (int, 1, _positive),
-        "profile": (str, "exp_decay", lambda n: _choice(n, set(_PROFILES))),
-        "amplitude": (float, 1.0, _positive),
-        "decay": (float, 0.5, _ident),
-        "mode": (int, 0, _ident),
+        **_PROFILE_KEYS,
         "state": (str, "", _ident),
         "out": (str, "gauge_gap.csv", _ident),
     },
@@ -144,10 +145,7 @@ _SCHEMAS = {
         "ref_factor": (int, 4, _positive),
         "T": (float, 0.5, _positive),
         "dt": (float, 5e-4, _positive),
-        "profile": (str, "exp_decay", lambda n: _choice(n, set(_PROFILES))),
-        "amplitude": (float, 1.0, _positive),
-        "decay": (float, 0.5, _ident),
-        "mode": (int, 0, _ident),
+        **_PROFILE_KEYS,
         "out": (str, "approx_report.json", _ident),
     },
     "perturb": {
@@ -156,10 +154,7 @@ _SCHEMAS = {
         "T": (float, 0.5, _positive),
         "dt": (float, 5e-4, _positive),
         "trials": (int, 4, _positive),
-        "profile": (str, "exp_decay", lambda n: _choice(n, set(_PROFILES))),
-        "amplitude": (float, 1.0, _positive),
-        "decay": (float, 0.5, _ident),
-        "mode": (int, 0, _ident),
+        **_PROFILE_KEYS,
         "out": (str, "perturb_report.json", _ident),
     },
     "squeeze": {
@@ -180,8 +175,6 @@ _SCHEMAS = {
 
 def _coerce(key, typ, raw):
     try:
-        if typ is bool:
-            return str(raw).lower() in ("1", "true", "yes", "on")
         return typ(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected {typ.__name__}, got {raw!r}") from None
@@ -234,7 +227,7 @@ def _profile_from(values: dict, seed: int) -> ProfileSpec:
         amplitude=values["amplitude"],
         decay=values["decay"],
         seed=seed,
-        mode=values.get("mode", 0),
+        mode=values["mode"],
     )
 
 
@@ -277,7 +270,7 @@ def _cmd_simulate(cfg: RunConfig) -> str:
                      EquationKind(_KINDS[v["equation"]], cfg.mu), v["stride"])
     path = _out(cfg, v["out"])
     save_trajectory(traj, path)
-    final = traj.states[-1]
+    final = traj[-1]
     return (f"simulate: {v['equation']} n_max={v['n_max']} T={v['T']} "
             f"steps={round(v['T']/v['dt'])} mass={diagnostics.mass(final):.6e} -> {path}")
 
@@ -306,7 +299,7 @@ def _cmd_norms(cfg: RunConfig) -> str:
     v = cfg.values
     traj = load_trajectory(v["traj"])
     field_ = diagnostics.SpaceTimeField(traj, v["window"])
-    phase = ModifiedPhase(traj.states[0]) if v["phase"] == "modified" else None
+    phase = ModifiedPhase(traj[0]) if v["phase"] == "modified" else None
     value = diagnostics.ysb_norm(field_, v["s"], v["b"], phase)
     z_value = diagnostics.ysb_norm(field_, v["s"], v["b"], phase, z_part=True)
     gaps = diagnostics.smoothing_gap(traj)
@@ -385,14 +378,6 @@ _HANDLERS = {
 }
 
 
-def _add_flag(sp, key, typ):
-    flag = "--" + key.replace("_", "-")
-    if typ is bool:
-        sp.add_argument(flag, dest=key, action="store_const", const="true", default=None)
-    else:
-        sp.add_argument(flag, dest=key, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="4nls", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -403,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="emit the resonance CSV table")
         sp.add_argument("--config", default=None)
         sp.add_argument("--deterministic", action="store_true")
-        for key, (typ, _d, _v) in {**_COMMON_KEYS, **schema}.items():
-            _add_flag(sp, key, typ)
+        for key in {**_COMMON_KEYS, **schema}:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     return parser
 
 

@@ -53,7 +53,7 @@ def symplectic_form(u: FourierState, v: FourierState) -> float:
 
 def smoothing_gap(traj: Trajectory) -> np.ndarray:
     """Per-sample sup_n | |c_n(t)|^2 - |c_n(0)|^2 |."""
-    arr = np.abs(traj.coeff_array()) ** 2
+    arr = np.abs(traj.coeffs) ** 2
     return np.max(np.abs(arr - arr[0]), axis=1)
 
 
@@ -62,7 +62,7 @@ def dyadic_gap_profile(traj: Trajectory, s: float) -> dict:
 
     Returns {level: array over samples}.
     """
-    arr = np.abs(traj.coeff_array()) ** 2
+    arr = np.abs(traj.coeffs) ** 2
     gap = np.abs(arr - arr[0])
     ns = np.arange(-traj.n_max, traj.n_max + 1)
     w = (1.0 + ns.astype(np.float64) ** 2) ** s
@@ -139,7 +139,7 @@ class SpaceTimeField:
             phi = ns.astype(np.float64) ** 4
         else:
             phi = phase.mu_array(traj.n_max)
-        reduced = traj.coeff_array() * np.exp(-1j * np.outer(times, phi))
+        reduced = traj.coeffs * np.exp(-1j * np.outer(times, phi))
         tilde = fft(self.taper[:, None] * reduced, axis=0) / np.sqrt(k)
         tau = 2.0 * np.pi * fftfreq(k, d=traj.dt)
         return tau, tilde

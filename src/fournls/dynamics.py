@@ -223,9 +223,10 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
 
 
 def _run(u0: FourierState, k: int, spec: IntegratorSpec, kind: EquationKind,
-         sample_stride: int) -> list:
-    """Take k steps from u0 on raw arrays; return the state every
-    sample_stride steps, starting with the datum (lifted under STRANG).
+         sample_stride: int) -> Trajectory:
+    """Take k steps from u0 on raw arrays, writing every sample_stride-th
+    state into the trajectory's one array, starting with the datum (lifted
+    under STRANG).
 
     Raises ValueError for a truncation the datum does not satisfy and
     NumericFailure(i) when step i leaves non-finite amplitudes.
@@ -237,14 +238,16 @@ def _run(u0: FourierState, k: int, spec: IntegratorSpec, kind: EquationKind,
         u0 = u0.pad_to((odd_padded_grid_size(u0.n_max) - 1) // 2)
     advance = _stepper(u0.n_max, spec, kind)
     c = u0.coeffs
-    samples = [u0]
+    samples = np.empty((k // sample_stride + 1, len(c)), dtype=np.complex128)
+    samples[0] = c
     for i in range(k):
         c = advance(c)
         if not np.all(np.isfinite(c.view(np.float64))):
             raise NumericFailure(i)
         if (i + 1) % sample_stride == 0:
-            samples.append(FourierState(u0.n_max, c))
-    return samples
+            samples[(i + 1) // sample_stride] = c
+    samples.flags.writeable = False
+    return Trajectory(0.0, spec.dt * sample_stride, samples)
 
 
 def step(u: FourierState, spec: IntegratorSpec, kind: EquationKind) -> FourierState:
@@ -277,8 +280,7 @@ def integrate(u0: FourierState, T: float, spec: IntegratorSpec,
         raise ValueError(f"T={T} is not a nonnegative integer multiple of dt={spec.dt}")
     if k % sample_stride != 0:
         raise ValueError("sample_stride must divide the number of steps")
-    return Trajectory(0.0, spec.dt * sample_stride,
-                      _run(u0, k, spec, kind, sample_stride))
+    return _run(u0, k, spec, kind, sample_stride)
 
 
 def exact_resonant_flow(u0: FourierState, t: float, mu: int = 1) -> FourierState:

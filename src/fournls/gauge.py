@@ -51,8 +51,6 @@ def gauge_equivalence_check(u0: FourierState, T: float, dt: float,
     traj_u = integrate(u0, T, spec, EquationKind(Kind.FULL_4NLS, mu_sign), sample_stride)
     traj_v = integrate(u0, T, spec, EquationKind(Kind.WICK_4WNLS, mu_sign), sample_stride)
     times = traj_u.times
-    gaps = np.empty(len(times))
-    for i, (su, sv) in enumerate(zip(traj_u.states, traj_v.states)):
-        gu = gauge_apply(su, float(times[i]), mass0, mu_sign)
-        gaps[i] = np.linalg.norm(gu.coeffs - sv.coeffs)
+    phases = np.exp(2j * mu_sign * times * mass0)[:, None]
+    gaps = np.linalg.norm(phases * traj_u.coeffs - traj_v.coeffs, axis=1)
     return GaugeEquivalenceReport(float(np.max(gaps)), times, gaps)

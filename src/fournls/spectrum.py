@@ -95,37 +95,49 @@ class FourierState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled time series of FourierStates; sample k is at t0 + k*dt."""
+    """Uniformly sampled run: row k of ``coeffs`` holds c_n, |n| <= n_max,
+    at time t0 + k*dt. Validated once and stored read-only; a read-only
+    C-contiguous complex128 array is kept without a copy."""
 
     t0: float
     dt: float
-    states: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.dt == 0.0:
-            raise ValueError("dt must be nonzero")
-        states = tuple(self.states)
-        if not states:
-            raise ValueError("trajectory must contain at least one state")
-        n_max = states[0].n_max
-        if any(s.n_max != n_max for s in states):
-            raise ValueError("all states in a trajectory must share n_max")
-        object.__setattr__(self, "states", states)
+        if not (math.isfinite(self.t0) and math.isfinite(self.dt) and self.dt != 0.0):
+            raise ValueError(f"need finite t0, finite nonzero dt; got {self.t0}, {self.dt}")
+        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
+        if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] % 2 == 0:
+            raise ValueError(f"coeffs must be (samples, 2*n_max+1) rows, got {c.shape}")
+        if not np.all(np.isfinite(c.view(np.float64))):
+            raise ValueError("coeffs contain NaN or Inf")
+        if c.flags.writeable:
+            c = c.copy()
+            c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def n_max(self) -> int:
-        return self.states[0].n_max
+        return (self.coeffs.shape[1] - 1) // 2
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.states))
+        return self.t0 + self.dt * np.arange(len(self))
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.coeffs.shape[0]
+
+    def __getitem__(self, k: int) -> FourierState:
+        """Sample k as a FourierState (negative k counts from the end)."""
+        return FourierState(self.n_max, self.coeffs[k])
+
+    @property
+    def states(self) -> tuple:
+        return tuple(self[k] for k in range(len(self)))
 
     def coeff_array(self) -> np.ndarray:
-        """(num_samples, 2*n_max+1) array of amplitudes."""
-        return np.stack([s.coeffs for s in self.states])
+        """The read-only (num_samples, 2*n_max+1) array of amplitudes."""
+        return self.coeffs
 
 
 @dataclass(frozen=True)
@@ -232,32 +244,55 @@ def hs_norm(state: FourierState, s: float) -> float:
     return float(math.sqrt(np.sum(w * np.abs(state.coeffs) ** 2)))
 
 
-def _fmt(x: float) -> float:
-    # round-trip via 17 significant digits; bit-exact for doubles
-    return float(f"{x:.17g}")
+def _pairs(coeffs: np.ndarray) -> list:
+    """[re, im] float pairs; json writes each float as its shortest
+    round-trip repr, so files are bit-exact."""
+    return coeffs.view(np.float64).reshape(-1, 2).tolist()
 
 
-def _coeff_list(coeffs: np.ndarray) -> list:
-    return [[_fmt(z.real), _fmt(z.imag)] for z in coeffs]
-
-
-def _coeff_array(raw, n_max: int, where: str) -> np.ndarray:
+def _json_object(text: str, where: str) -> dict:
     try:
-        arr = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"malformed coeffs in {where}: {exc}") from exc
-    if arr.shape != (2 * n_max + 1,):
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{where}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{where}: expected a JSON object, found {doc!r:.40}")
+    return doc
+
+
+def _header(text: str, fmt: str, where: str) -> tuple[dict, int]:
+    """The header object in text and its n_max, checked against format fmt."""
+    doc = _json_object(text, where)
+    if doc.get("format") != fmt:
         raise FileFormatError(
-            f"{where}: expected {2 * n_max + 1} coefficients, found {arr.shape[0]}"
-        )
-    return arr
+            f"{where}: version mismatch: expected {fmt!r}, found {doc.get('format')!r}")
+    n_max = doc.get("n_max")
+    if type(n_max) is not int or n_max < 0:
+        raise FileFormatError(f"{where}: n_max must be an integer >= 0, found {n_max!r}")
+    return doc, n_max
+
+
+def _decode(raw, n_max: int, where: str) -> np.ndarray:
+    """The 2*n_max+1 amplitudes in raw, a list of finite [re, im] number pairs."""
+    try:
+        pairs = np.array(raw)
+    except ValueError as exc:  # ragged nesting
+        raise FileFormatError(f"{where}: malformed coeffs: {exc}") from exc
+    if pairs.dtype.kind not in "biuf":  # strings, null and objects
+        raise FileFormatError(f"{where}: coeffs must be numbers, found {raw!r:.60}")
+    if pairs.shape != (2 * n_max + 1, 2):
+        raise FileFormatError(
+            f"{where}: expected {2 * n_max + 1} [re, im] pairs, got shape {pairs.shape}")
+    if not np.all(np.isfinite(pairs)):
+        raise FileFormatError(f"{where}: coeffs contain NaN or Inf")
+    return pairs.astype(np.float64).view(np.complex128)[:, 0]
 
 
 def save_state(state: FourierState, path) -> None:
     doc = {
         "format": STATE_FORMAT,
         "n_max": state.n_max,
-        "coeffs": _coeff_list(state.coeffs),
+        "coeffs": _pairs(state.coeffs),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -266,17 +301,8 @@ def save_state(state: FourierState, path) -> None:
 
 def load_state(path) -> FourierState:
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if doc.get("format") != STATE_FORMAT:
-        raise FileFormatError(
-            f"{path}: version mismatch: expected {STATE_FORMAT!r},"
-            f" found {doc.get('format')!r}"
-        )
-    n_max = int(doc["n_max"])
-    return FourierState(n_max, _coeff_array(doc["coeffs"], n_max, str(path)))
+        doc, n_max = _header(fh.read(), STATE_FORMAT, str(path))
+    return FourierState(n_max, _decode(doc.get("coeffs"), n_max, str(path)))
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
@@ -284,12 +310,12 @@ def save_trajectory(traj: Trajectory, path) -> None:
         header = {
             "format": TRAJ_FORMAT,
             "n_max": traj.n_max,
-            "t0": _fmt(traj.t0),
-            "dt": _fmt(traj.dt),
+            "t0": float(traj.t0),
+            "dt": float(traj.dt),
         }
         fh.write(json.dumps(header) + "\n")
-        for k, s in enumerate(traj.states):
-            fh.write(json.dumps({"k": k, "coeffs": _coeff_list(s.coeffs)}) + "\n")
+        for k, row in enumerate(traj.coeffs):
+            fh.write(json.dumps({"k": k, "coeffs": _pairs(row)}) + "\n")
 
 
 def load_trajectory(path) -> Trajectory:
@@ -297,25 +323,21 @@ def load_trajectory(path) -> Trajectory:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
         raise FileFormatError(f"{path}: empty trajectory file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: bad header: {exc}") from exc
-    if header.get("format") != TRAJ_FORMAT:
-        raise FileFormatError(
-            f"{path}: version mismatch: expected {TRAJ_FORMAT!r},"
-            f" found {header.get('format')!r}"
-        )
-    n_max = int(header["n_max"])
-    states = []
-    for i, ln in enumerate(lines[1:]):
-        try:
-            rec = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: bad record {i}: {exc}") from exc
-        if rec.get("k") != i:
-            raise FileFormatError(f"{path}: record {i} carries index {rec.get('k')}")
-        states.append(FourierState(n_max, _coeff_array(rec["coeffs"], n_max, f"record {i}")))
-    if not states:
+    header, n_max = _header(lines[0], TRAJ_FORMAT, f"{path}: header")
+    if len(lines) == 1:
         raise FileFormatError(f"{path}: trajectory has no states")
-    return Trajectory(float(header["t0"]), float(header["dt"]), tuple(states))
+    coeffs = None
+    for i, ln in enumerate(lines[1:]):
+        where = f"{path}: record {i}"
+        rec = _json_object(ln, where)
+        if rec.get("k") != i:
+            raise FileFormatError(f"{where} carries index {rec.get('k')!r}")
+        row = _decode(rec.get("coeffs"), n_max, where)
+        if coeffs is None:  # allocate only once a record confirms the width
+            coeffs = np.empty((len(lines) - 1, len(row)), dtype=np.complex128)
+        coeffs[i] = row
+    coeffs.flags.writeable = False
+    try:
+        return Trajectory(float(header["t0"]), float(header["dt"]), coeffs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: header: bad t0 or dt: {exc!r}") from exc

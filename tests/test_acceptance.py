@@ -232,7 +232,7 @@ def test_criterion_11_norm_estimator():
     times = dt * np.arange(K)
     states = tuple(u_ref.with_coeffs(u_ref.coeffs * np.exp(1j * t * mu0))
                    for t in times)
-    lin = SpaceTimeField(Trajectory(0.0, dt, states), "rect")
+    lin = SpaceTimeField(Trajectory(0.0, dt, [s.coeffs for s in states]), "rect")
     tau, tilde = lin.time_modes(phase)
     col = np.abs(tilde[:, n0 + 2])
     # energy concentrates in the tau bin nearest mu(n0) (DC after reduction)

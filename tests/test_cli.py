@@ -148,6 +148,19 @@ class TestNorms:
         assert run(["norms", "--traj", tmp_path / "nope.jsonl",
                     "--out-dir", tmp_path]) == 1
 
+    def test_malformed_file_is_config_error(self, tmp_path, capsys):
+        # valid JSON that breaks the format must not escape as a traceback
+        traj = tmp_path / "t.jsonl"
+        traj.write_text('{"format": "4nls-traj/1", "n_max": 1, "t0": 0.0, "dt": 0.1}\n'
+                        '{"k": 0}\n')
+        state = tmp_path / "s.json"
+        state.write_text('{"format": "4nls-state/1", "coeffs": [[1.0, 0.0]]}\n')
+        for args in (["norms", "--traj", traj],
+                     ["simulate", "--state", state, "--n-max", 4, "--dt", "1e-3",
+                      "--T", "0.01"]):
+            assert run([*args, "--out-dir", tmp_path]) == 1
+            assert capsys.readouterr().err.startswith("config error")
+
 
 class TestExperimentSubcommands:
     def test_approx_deterministic_reports(self, tmp_path):

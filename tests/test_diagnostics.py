@@ -102,7 +102,7 @@ class TestSmoothingGap:
     def test_resonant_flow_has_zero_gap(self):
         u0 = random_state(5, seed=2)
         states = tuple(exact_resonant_flow(u0, 0.1 * k) for k in range(6))
-        tr = Trajectory(0.0, 0.1, states)
+        tr = Trajectory(0.0, 0.1, [s.coeffs for s in states])
         assert np.max(smoothing_gap(tr)) < 1e-14
 
     def test_finite_difference_matches_modulus_rate(self):
@@ -151,7 +151,7 @@ class TestDyadicGapProfile:
     def test_single_mode_localized(self):
         u0 = FourierState.from_modes(10, {5: 1.0})
         states = (u0, u0.with_coeffs(u0.coeffs * 0.5))
-        tr = Trajectory(0.0, 0.1, states)
+        tr = Trajectory(0.0, 0.1, [s.coeffs for s in states])
         prof = dyadic_gap_profile(tr, 0.0)
         for block in blocks_covering(10):
             if block.contains(5):
@@ -168,7 +168,7 @@ class TestYsbNorm:
 
     def test_minimum_samples(self):
         u0 = random_state(3)
-        tr = Trajectory(0.0, 0.1, tuple([u0] * 4))
+        tr = Trajectory(0.0, 0.1, [u0.coeffs] * 4)
         with pytest.raises(ValueError):
             SpaceTimeField(tr)
 
@@ -195,7 +195,7 @@ class TestYsbNorm:
         states = tuple(
             u0.with_coeffs(u0.coeffs * np.exp(1j * t * n0**4)) for t in times
         )
-        field = SpaceTimeField(Trajectory(0.0, dt, states), "rect")
+        field = SpaceTimeField(Trajectory(0.0, dt, [s.coeffs for s in states]), "rect")
         tau, tilde = field.time_modes(None)
         col = np.abs(tilde[:, n0 + 3])
         assert col[0] > 0.999 * np.linalg.norm(col)
@@ -211,7 +211,7 @@ class TestYsbNorm:
         states = tuple(
             u0.with_coeffs(u0.coeffs * np.exp(1j * t * mu)) for t in times
         )
-        field = SpaceTimeField(Trajectory(0.0, dt, states), "rect")
+        field = SpaceTimeField(Trajectory(0.0, dt, [s.coeffs for s in states]), "rect")
         tau, tilde = field.time_modes(phase)
         col = np.abs(tilde[:, n0 + 2])
         assert col[0] > 0.999 * np.linalg.norm(col)

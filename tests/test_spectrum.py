@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ def random_state(n_max, seed=0, norm=None):
     if norm is not None:
         c *= norm / np.linalg.norm(c)
     return FourierState(n_max, c)
+
+
+# -0.0, a subnormal, 1e308 and 0.1: each must survive the file codec bit for bit
+GOLDEN_ROWS = [[complex(-0.0, 5e-324), complex(1e308, 0.1), complex(0.1, -0.0)],
+               [complex(-1e308, -5e-324), 0.0, complex(-0.1, 2.5)]]
+HEADER = '{"format": "4nls-traj/1", "n_max": 1, "t0": 0.0, "dt": 0.1}'
+REC0 = '{"k": 0, "coeffs": [[1.0, 0.0], [0.0, 0.0], [0.5, -0.5]]}'
 
 
 coeff_strategy = st.integers(min_value=0, max_value=6).flatmap(
@@ -177,21 +185,39 @@ class TestGridSizes:
 
 class TestTrajectory:
     def test_requires_nonzero_dt(self):
-        with pytest.raises(ValueError):
-            Trajectory(0.0, 0.0, (FourierState.zeros(1),))
+        rows = np.zeros((1, 3))
+        for t0, dt in ((0.0, 0.0), (0.0, np.nan), (0.0, np.inf), (0.0, -np.inf),
+                       (np.inf, 0.1), (np.nan, 0.1)):
+            with pytest.raises(ValueError):
+                Trajectory(t0, dt, rows)
 
     def test_requires_shared_n_max(self):
-        with pytest.raises(ValueError):
-            Trajectory(0.0, 0.1, (FourierState.zeros(1), FourierState.zeros(2)))
+        # a 2-D array cannot mix radii: ragged rows and even widths are rejected
+        for rows in ([[0.0] * 3, [0.0] * 5], np.zeros((2, 4)), np.zeros((0, 3)),
+                     np.zeros(3), [[np.nan, 0.0, 0.0]]):
+            with pytest.raises(ValueError):
+                Trajectory(0.0, 0.1, rows)
 
     def test_times_and_len(self):
-        tr = Trajectory(1.0, 0.5, tuple(FourierState.zeros(2) for _ in range(4)))
-        assert len(tr) == 4
+        tr = Trajectory(1.0, 0.5, np.zeros((4, 5)))
+        assert len(tr) == 4 and tr.n_max == 2
         assert np.allclose(tr.times, [1.0, 1.5, 2.0, 2.5])
 
     def test_coeff_array_shape(self):
-        tr = Trajectory(0.0, 0.1, tuple(random_state(3, seed=k) for k in range(5)))
+        tr = Trajectory(0.0, 0.1, [random_state(3, seed=k).coeffs for k in range(5)])
         assert tr.coeff_array().shape == (5, 7)
+
+    def test_samples_are_validated_read_only_states(self):
+        rows = np.array([random_state(3, seed=k).coeffs for k in range(5)])
+        tr = Trajectory(0.0, 0.1, rows)
+        rows[0] = 0.0  # the caller's writable array is copied, not aliased
+        assert tr[0].allclose(random_state(3, seed=0))
+        assert tr[-1].allclose(random_state(3, seed=4))
+        assert [s.n_max for s in tr.states] == [3] * 5
+        with pytest.raises(ValueError):
+            tr.coeffs[0, 0] = 1.0
+        with pytest.raises(IndexError):
+            tr[5]
 
 
 class TestFileFormats:
@@ -228,7 +254,7 @@ class TestFileFormats:
             load_state(p)
 
     def test_trajectory_round_trip_bit_exact(self, tmp_path):
-        tr = Trajectory(0.0, 1e-3, tuple(random_state(4, seed=k) for k in range(6)))
+        tr = Trajectory(0.0, 1e-3, [random_state(4, seed=k).coeffs for k in range(6)])
         p = tmp_path / "t.jsonl"
         save_trajectory(tr, p)
         back = load_trajectory(p)
@@ -237,7 +263,7 @@ class TestFileFormats:
             assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_trajectory_corrupt_record_named(self, tmp_path):
-        tr = Trajectory(0.0, 1e-3, tuple(random_state(2, seed=k) for k in range(3)))
+        tr = Trajectory(0.0, 1e-3, [random_state(2, seed=k).coeffs for k in range(3)])
         p = tmp_path / "t.jsonl"
         save_trajectory(tr, p)
         lines = p.read_text().splitlines()
@@ -245,3 +271,53 @@ class TestFileFormats:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError):
             load_trajectory(p)
+
+    def test_golden_bytes(self, tmp_path):
+        save_trajectory(Trajectory(0, 0.1, GOLDEN_ROWS), tmp_path / "t.jsonl")
+        save_state(FourierState(1, GOLDEN_ROWS[0]), tmp_path / "s.json")
+        assert (tmp_path / "t.jsonl").read_text() == (
+            '{"format": "4nls-traj/1", "n_max": 1, "t0": 0.0, "dt": 0.1}\n'
+            '{"k": 0, "coeffs": [[-0.0, 5e-324], [1e+308, 0.1], [0.1, -0.0]]}\n'
+            '{"k": 1, "coeffs": [[-1e+308, -5e-324], [0.0, 0.0], [-0.1, 2.5]]}\n')
+        assert (tmp_path / "s.json").read_text() == (
+            '{"format": "4nls-state/1", "n_max": 1,'
+            ' "coeffs": [[-0.0, 5e-324], [1e+308, 0.1], [0.1, -0.0]]}\n')
+        golden = np.array(GOLDEN_ROWS)
+        assert load_trajectory(tmp_path / "t.jsonl").coeffs.tobytes() == golden.tobytes()
+        assert load_state(tmp_path / "s.json").coeffs.tobytes() == golden[0].tobytes()
+
+    @pytest.mark.parametrize("load, lines", [
+        pytest.param(load_trajectory, [HEADER.replace("traj/1", "traj/2"), REC0],
+                     id="version"),
+        pytest.param(load_trajectory, [], id="empty"),
+        pytest.param(load_trajectory, [HEADER], id="header-only"),
+        pytest.param(load_trajectory, [HEADER, REC0.replace('"k": 0', '"k": 1')],
+                     id="index"),
+        pytest.param(load_trajectory, [HEADER, REC0.replace(", [0.0, 0.0]", "")],
+                     id="count"),
+        pytest.param(load_trajectory, [HEADER, REC0.replace("0.5, -0.5", '"0.5", -0.5')],
+                     id="string"),
+        pytest.param(load_trajectory, [HEADER, REC0.replace("0.5, -0.5", "null, -0.5")],
+                     id="null"),
+        pytest.param(load_trajectory, [HEADER, '{"k": 0}'], id="no-coeffs"),
+        pytest.param(load_trajectory, [HEADER.replace('"n_max": 1, ', ""), REC0],
+                     id="no-n_max"),
+        pytest.param(load_trajectory, [HEADER, "[1, 2]"], id="record-not-object"),
+        pytest.param(load_trajectory, ["[1, 2]", REC0], id="header-not-object"),
+        pytest.param(load_trajectory, [HEADER.replace('"dt": 0.1', '"dt": NaN'), REC0],
+                     id="nan-dt"),
+        pytest.param(load_trajectory, [HEADER.replace('"t0": 0.0', '"t0": Infinity'),
+                                       REC0], id="inf-t0"),
+        pytest.param(load_trajectory, [HEADER.replace(', "dt": 0.1', ""), REC0],
+                     id="no-dt"),
+        pytest.param(load_trajectory, [HEADER, REC0.replace("0.5, -0.5", "1e999, -0.5")],
+                     id="overflow"),
+        pytest.param(load_state, ['{"format": "4nls-state/1", "coeffs": [[1.0, 0.0]]}'],
+                     id="state-no-n_max"),
+        pytest.param(load_state, ["[1, 2]"], id="state-not-object"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, load, lines):
+        p = tmp_path / "f.json"
+        p.write_text("".join(ln + "\n" for ln in lines))
+        with pytest.raises(FileFormatError, match=re.escape(str(p))):
+            load(p)
