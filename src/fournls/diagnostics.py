@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, fftfreq
 
-from .resonance import ModifiedPhase
+from .dynamics import cubic_convolution
+from .resonance import ModifiedPhase, h_value
 from .spectrum import (
+    DyadicBlock,
     FourierState,
     Trajectory,
     blocks_covering,
@@ -79,8 +81,6 @@ def modulus_rate(u: FourierState, mu_sign: int = 1) -> np.ndarray:
     The resonant and linear terms are pure phase rotations, so only the
     non-resonant sum S_n contributes; it holds for both equations.
     """
-    from .dynamics import cubic_convolution
-
     c = u.coeffs
     m0 = np.sum(np.abs(c) ** 2)
     conv = cubic_convolution(u, u, u).coeffs
@@ -196,8 +196,6 @@ def nonresonant_output_xnorm(u1: ModeField, u2: ModeField, u3: ModeField,
     same (n4, modulation) add coherently. Trivially resonant triples
     (n1 = n2 or n2 = n3) are excluded.
     """
-    from .resonance import h_value
-
     acc: dict = {}
     for n1, o1, a1 in u1.atoms:
         for n2, o2, a2 in u2.atoms:
@@ -272,8 +270,6 @@ def trilinear_ratio(seed: int, n1_level: int, n2_level: int, n3_level: int,
     with exponent -0.49 standing in for -1/2+. A monitoring statistic,
     never a proof; deterministic under the seed.
     """
-    from .spectrum import DyadicBlock
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     blocks = tuple(DyadicBlock(lv) for lv in (n1_level, n2_level, n3_level, n4_level))

@@ -10,7 +10,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -84,14 +84,7 @@ class ExperimentReport:
     created: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "table": self.table,
-            "fitted": self.fitted,
-            "artifacts": self.artifacts,
-            "created": self.created,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -120,11 +113,14 @@ def fit_decay_rate(table) -> tuple[float, float, float]:
     return float(-slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
 
 
-def _choose_stride(steps: int, target_samples: int = 50) -> int:
-    """Largest divisor of steps giving at least target_samples samples."""
+_TARGET_SAMPLES = 50  # fewest samples a study trajectory keeps
+
+
+def _choose_stride(steps: int) -> int:
+    """Largest divisor of steps giving at least _TARGET_SAMPLES samples."""
     best = 1
     for stride in range(1, steps + 1):
-        if steps % stride == 0 and steps // stride >= target_samples:
+        if steps % stride == 0 and steps // stride >= _TARGET_SAMPLES:
             best = stride
     return best
 

@@ -5,12 +5,19 @@ The quartic phase mismatch for the cubic nonlinearity is
     H(n1, n2, n3) = n1^4 - n2^4 + n3^4 - (n1 - n2 + n3)^4
                   = (n1-n2)(n2-n3)(n1^2 + n2^2 + n3^2 + n^2 + 2(n1+n3)^2),
 
-so it vanishes exactly when n1 = n2 or n2 = n3. All arithmetic here is
-exact (Python integers), which makes the identity tests exact as well.
+so it vanishes exactly when n1 = n2 or n2 = n3.
+
+``h_value``, ``h_factored``, ``enumerate_nonresonant`` and
+``resonance_table_rows`` work on Python integers, so H is exact at any
+size. ``_nonresonant`` enumerates the non-resonant set once, as int64
+arrays; ``normal_form_boundary`` evaluates H in int64 there, which is exact
+while 48 n_max^4 < 2^63 (far beyond any grid that fits in memory), so its
+float64 divisor equals float(h_value(...)) bit for bit. ``ModifiedPhase``
+and the G functions add float64 weights |c0(n)|^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,53 +53,47 @@ def h_factored(n1: int, n2: int, n3: int) -> int:
     return (n1 - n2) * (n2 - n3) * (n1**2 + n2**2 + n3**2 + n**2 + 2 * (n1 + n3) ** 2)
 
 
+def _nonresonant(n: int, n_max: int) -> tuple:
+    """int64 arrays (n1, n2, n3) of the non-resonant triples with
+    n1 - n2 + n3 = n and |ni| <= n_max, lexicographic in (n1, n2)."""
+    k = np.arange(-n_max, n_max + 1, dtype=np.int64)
+    n1, n2 = np.meshgrid(k, k, indexing="ij")
+    n3 = n - n1 + n2
+    keep = (np.abs(n3) <= n_max) & (n1 != n2) & (n2 != n3)
+    return n1[keep], n2[keep], n3[keep]
+
+
 def enumerate_nonresonant(n: int, n_max: int) -> list[ResonanceQuadruple]:
     """All non-resonant triples (n1, n2, n3) with n1-n2+n3 = n, |ni| <= n_max.
 
     Non-resonant means (n1-n2)(n2-n3) != 0. Output is lexicographic in
-    (n1, n2); n3 is then determined.
+    (n1, n2); n3 is then determined. Fields are Python integers.
     """
-    out = []
-    for n1 in range(-n_max, n_max + 1):
-        for n2 in range(-n_max, n_max + 1):
-            n3 = n - n1 + n2
-            if abs(n3) > n_max:
-                continue
-            if n1 == n2 or n2 == n3:
-                continue
-            out.append(ResonanceQuadruple(n1, n2, n3, n, h_value(n1, n2, n3)))
-    return out
+    n1, n2, n3 = (a.tolist() for a in _nonresonant(n, n_max))
+    return [ResonanceQuadruple(a, b, c, n, h_value(a, b, c))
+            for a, b, c in zip(n1, n2, n3)]
 
 
 @dataclass(frozen=True)
 class ModifiedPhase:
-    """Per-mode phase table mu(n) = n^4 + |c0(n)|^2 for a reference datum."""
+    """Per-mode phase mu(n) = n^4 + |c0(n)|^2 for a reference datum."""
 
     reference: FourierState
-    table: dict = field(init=False)
 
-    def __post_init__(self):
-        ref = self.reference
-        table = {
-            int(n): float(n) ** 4 + abs(ref.mode(int(n))) ** 2 for n in ref.modes
-        }
-        object.__setattr__(self, "table", table)
-
-    def mu(self, n: int) -> float:
-        try:
-            return self.table[n]
-        except KeyError:
+    def weight(self, n: int) -> float:
+        """|c0(n)|^2, the data-dependent part of mu(n)."""
+        if abs(n) > self.reference.n_max:
             raise ValueError(
                 f"frequency {n} outside reference support |n| <= {self.reference.n_max}"
-            ) from None
+            )
+        return abs(self.reference.mode(n)) ** 2
+
+    def mu(self, n: int) -> float:
+        return float(n) ** 4 + self.weight(n)
 
     def mu_array(self, n_max: int) -> np.ndarray:
         """mu(n) for n = -n_max..n_max; requires n_max <= reference n_max."""
         return np.array([self.mu(n) for n in range(-n_max, n_max + 1)])
-
-    def weight(self, n: int) -> float:
-        """|c0(n)|^2, the data-dependent part of mu(n)."""
-        return self.mu(n) - float(n) ** 4
 
 
 def g_value(n1: int, n2: int, n3: int, phase: ModifiedPhase) -> float:
@@ -139,17 +140,17 @@ def normal_form_boundary(u: FourierState, n: int) -> complex:
 
     sum over non-resonant triples of c(n1) conj(c(n2)) c(n3) conj(c(n)) / (iH).
     """
-    if abs(n) > u.n_max:
-        raise ValueError(f"|n|={abs(n)} exceeds state n_max={u.n_max}")
-    cn = u.mode(n)
+    n_max = u.n_max
+    if abs(n) > n_max:
+        raise ValueError(f"|n|={abs(n)} exceeds state n_max={n_max}")
+    c = u.coeffs
+    cn = c[n + n_max]
     if cn == 0:
         return 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    for q in enumerate_nonresonant(n, u.n_max):
-        assert q.h != 0  # guaranteed off the trivial resonances
-        term = u.mode(q.n1) * np.conj(u.mode(q.n2)) * u.mode(q.n3) * np.conj(cn)
-        total += term / (1j * q.h)
-    return complex(total)
+    n1, n2, n3 = _nonresonant(n, n_max)
+    h = h_factored(n1, n2, n3).astype(np.float64)
+    terms = c[n1 + n_max] * np.conj(c[n2 + n_max]) * c[n3 + n_max] * np.conj(cn)
+    return complex(np.sum(terms / (1j * h)))
 
 
 def resonance_table_rows(n_max: int):

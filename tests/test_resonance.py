@@ -76,6 +76,12 @@ class TestEnumeration:
         keys = [(q.n1, q.n2) for q in quads]
         assert keys == sorted(keys)
 
+    def test_fields_are_python_ints(self):
+        # arbitrary-precision H: no numpy integer leaks into the quadruples
+        for q in enumerate_nonresonant(1, 6):
+            for value in (q.n1, q.n2, q.n3, q.n, q.h):
+                assert type(value) is int
+
     def test_brute_force_equivalence(self):
         # oracle: plain triple scan over the box
         n_max = 12
@@ -105,6 +111,17 @@ class TestModifiedPhase:
         phase = ModifiedPhase(FourierState.zeros(2))
         with pytest.raises(ValueError):
             phase.mu(3)
+        with pytest.raises(ValueError):
+            phase.weight(3)
+        with pytest.raises(ValueError):
+            phase.mu_array(3)
+
+    def test_weight_is_exact_modulus_squared(self):
+        # exactly |c0(n)|^2: going through mu(n) - n^4 loses digits at n = 200
+        u = FourierState.from_modes(200, {200: 0.01, -3: 0.5 + 0.25j, 7: 1e-9})
+        phase = ModifiedPhase(u)
+        for n in range(-200, 201):
+            assert phase.weight(n) == abs(u.mode(n)) ** 2
 
     def test_mu_array_matches_scalar(self):
         u = FourierState.from_modes(3, {-1: 0.5, 2: 1.0})
@@ -158,15 +175,25 @@ class TestNormalFormBoundary:
         u = FourierState.from_modes(2, {0: 1.0, 1: 1.0, 2: 1.0})
         assert np.isclose(normal_form_boundary(u, 1), -1j / 7, atol=1e-15)
 
-    def test_against_direct_sum(self):
+    @pytest.mark.parametrize("n_max", [4, 12])
+    def test_against_direct_sum(self, n_max):
+        # oracle: plain triple scan over the box with exact H
         rng = np.random.default_rng(7)
-        c = rng.normal(size=9) + 1j * rng.normal(size=9)
-        u = FourierState(4, c)
-        for n in range(-4, 5):
+        size = 2 * n_max + 1
+        u = FourierState(n_max, rng.normal(size=size) + 1j * rng.normal(size=size))
+        box = range(-n_max, n_max + 1)
+        for n in box:
             direct = 0.0 + 0.0j
-            for q in enumerate_nonresonant(n, 4):
-                direct += (u.mode(q.n1) * np.conj(u.mode(q.n2)) * u.mode(q.n3)
-                           * np.conj(u.mode(n)) / (1j * q.h))
+            for n1 in box:
+                for n2 in box:
+                    for n3 in box:
+                        if n1 - n2 + n3 != n:
+                            continue
+                        h = h_value(n1, n2, n3)
+                        if h == 0:
+                            continue
+                        direct += (u.mode(n1) * np.conj(u.mode(n2)) * u.mode(n3)
+                                   * np.conj(u.mode(n)) / (1j * h))
             assert np.isclose(normal_form_boundary(u, n), direct, atol=1e-13)
 
 
