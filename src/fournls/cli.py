@@ -158,6 +158,7 @@ _SCHEMAS = {
         "out": (str, "perturb_report.json", _ident),
     },
     "squeeze": {
+        "equation": (str, "full", lambda n: _choice(n, set(_KINDS))),
         "R": (float, 1.0, _positive),
         "r": (float, 0.5, _positive),
         "n0": (int, 1, _ident),
@@ -282,7 +283,8 @@ def _cmd_gauge_check(cfg: RunConfig) -> str:
                                         mu_sign=cfg.mu,
                                         sample_stride=v["stride"])
     path = _out(cfg, v["out"])
-    _write_csv(path, ["t", "gap"], zip(rep.times, rep.gaps))
+    _write_csv(path, ["t", "gap", "aligned_gap"],
+               zip(rep.times, rep.gaps, rep.aligned_gaps))
     return f"gauge-check: n_max={v['n_max']} T={v['T']} max_gap={rep.max_gap:.3e} -> {path}"
 
 
@@ -359,7 +361,7 @@ def _cmd_squeeze(cfg: RunConfig) -> str:
     report = experiments.run_squeeze_probe(
         u_star, v["R"], v["r"], v["n0"], complex(v["z_re"], v["z_im"]),
         v["T"], v["N"], v["dt"], v["samples"], v["epsilon"],
-        seed=cfg.seed, mu_sign=cfg.mu)
+        seed=cfg.seed, mu_sign=cfg.mu, kind=_KINDS[v["equation"]])
     path = _emit_report(cfg, report, ["label", "radius", "margin"],
                         lambda r: (r["label"], r["radius"], r["margin"]))
     best = report.fitted

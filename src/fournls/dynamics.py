@@ -178,7 +178,7 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
     The phases e^{i dt n^4/2}, the FFT layout and the truncation mask are
     built once here, so a run pays for them once rather than every step.
     EXP_RK4 is Lawson (interaction-picture) RK4: the linear phase is exact.
-    STRANG treats 2*n_max+1 as its collocation grid (the caller lifts the
+    STRANG treats 2*n_max+1 as its collocation grid (integrate lifts the
     state first) and every substep is unitary.
     """
     dt = spec.dt
@@ -224,18 +224,15 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
 
 def _run(u0: FourierState, k: int, spec: IntegratorSpec, kind: EquationKind,
          sample_stride: int) -> Trajectory:
-    """Take k steps from u0 on raw arrays, writing every sample_stride-th
-    state into the trajectory's one array, starting with the datum (lifted
-    under STRANG).
+    """Take k steps from u0 on raw arrays and u0's grid, writing every
+    sample_stride-th state into the trajectory's one array, starting with
+    the datum.
 
     Raises ValueError for a truncation the datum does not satisfy and
     NumericFailure(i) when step i leaves non-finite amplitudes.
     """
     if spec.truncation is not None:
         _check_support(u0, spec.truncation)
-    if spec.scheme is Scheme.STRANG:
-        # zero-pad so the collocation grid 2*n_max+1 is alias-safe and odd
-        u0 = u0.pad_to((odd_padded_grid_size(u0.n_max) - 1) // 2)
     advance = _stepper(u0.n_max, spec, kind)
     c = u0.coeffs
     samples = np.empty((k // sample_stride + 1, len(c)), dtype=np.complex128)
@@ -253,11 +250,13 @@ def _run(u0: FourierState, k: int, spec: IntegratorSpec, kind: EquationKind,
 def step(u: FourierState, spec: IntegratorSpec, kind: EquationKind) -> FourierState:
     """Advance one step of length spec.dt, with integrate's checks and errors.
 
-    The result has u's n_max. Under STRANG this lifts u to the collocation
-    grid, steps, and truncates back, so repeated step calls are not the map
-    integrate iterates: integrate stays on the lifted grid throughout.
+    This is one iteration of the map integrate iterates, on u's own grid:
+    the result has u's n_max. Under STRANG, u's 2*n_max+1 modes are the
+    collocation grid, so to step the alias-safe map start from the lifted
+    datum integrate(u0, 0, spec, kind)[-1]; k steps from it equal
+    integrate(u0, k*dt, spec, kind)[-1] bit for bit.
     """
-    return _run(u, 1, spec, kind, 1)[-1].truncate_to(u.n_max)
+    return _run(u, 1, spec, kind, 1)[-1]
 
 
 def integrate(u0: FourierState, T: float, spec: IntegratorSpec,
@@ -280,6 +279,9 @@ def integrate(u0: FourierState, T: float, spec: IntegratorSpec,
         raise ValueError(f"T={T} is not a nonnegative integer multiple of dt={spec.dt}")
     if k % sample_stride != 0:
         raise ValueError("sample_stride must divide the number of steps")
+    if spec.scheme is Scheme.STRANG:
+        # zero-pad so the collocation grid 2*n_max+1 is alias-safe and odd
+        u0 = u0.pad_to((odd_padded_grid_size(u0.n_max) - 1) // 2)
     return _run(u0, k, spec, kind, sample_stride)
 
 

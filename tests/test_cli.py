@@ -1,10 +1,12 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fournls.cli import main, parse_config, ConfigError
+from fournls.cli import build_parser, main, parse_config, ConfigError
 from fournls.spectrum import load_trajectory, save_state, FourierState
 
 
@@ -117,6 +119,8 @@ class TestGaugeCheck:
         with open(tmp_path / "g.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["t"] for r in rows] and float(rows[0]["gap"]) == 0.0
+        for r in rows:
+            assert float(r["aligned_gap"]) <= float(r["gap"]) + 1e-15
 
 
 class TestNorms:
@@ -197,3 +201,35 @@ class TestExperimentSubcommands:
                     "--out", "s.json"]) == 0
         doc = json.loads((tmp_path / "s.json").read_text())
         assert abs(doc["fitted"]["best_margin"] - 0.4) < 1e-10
+
+    def test_squeeze_wick_matches_full(self, tmp_path):
+        # the gauge is a global phase, so |c(T, n0)| agrees for both flows
+        docs = {}
+        for eq in ("full", "wick"):
+            assert run(["squeeze", "--equation", eq, "--R", 1.0, "--r", 0.5,
+                        "--n0", 1, "--T", "0.05", "--N", 6, "--dt", "1e-2",
+                        "--samples", 12, "--epsilon", 0.1,
+                        "--out-dir", tmp_path, "--out", f"{eq}.json"]) == 0
+            docs[eq] = json.loads((tmp_path / f"{eq}.json").read_text())
+        full, wick = docs["full"], docs["wick"]
+        assert wick["params"]["config_echo"]["equation"] == "wick"
+        assert abs(wick["fitted"]["best_margin"]
+                   - full["fitted"]["best_margin"]) < 1e-10
+        margins = {eq: [r["margin"] for r in d["table"]] for eq, d in docs.items()}
+        assert np.allclose(margins["wick"], margins["full"], rtol=0, atol=1e-10)
+        assert margins["wick"] != margins["full"]  # the Wick flow was integrated
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Command line", 1)[1].split("```sh", 1)[1]
+    lines = [ln for ln in block.split("```", 1)[0].splitlines()
+             if ln.startswith("4nls ")]
+    assert lines
+    for line in lines:
+        args = vars(build_parser().parse_args(shlex.split(line)[1:]))
+        sub = args.pop("subcommand")
+        args.pop("table_word", None)
+        config_path = args.pop("config")
+        flags = {k: v for k, v in args.items() if v is not None}
+        assert parse_config(sub, config_path, flags).subcommand == sub

@@ -274,13 +274,24 @@ class TestStep:
         out = step(u0, IntegratorSpec(Scheme.STRANG, 1e-3), FULL)
         assert out.n_max == 5
 
-    @pytest.mark.parametrize("truncation", [None, 5])
+    @pytest.mark.parametrize("spec", [
+        IntegratorSpec(Scheme.EXP_RK4, 1e-3),
+        IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=5),
+        IntegratorSpec(Scheme.STRANG, 1e-3),
+    ], ids=["None", "5", "strang"])
     @pytest.mark.parametrize("k", [1, 7])
-    def test_single_step_matches_integrate(self, k, truncation):
+    def test_single_step_matches_integrate(self, k, spec):
         u0 = random_state(5, seed=6)
-        spec = IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=truncation)
-        u = u0
+        u = integrate(u0, 0.0, spec, FULL)[-1]  # the datum, lifted under STRANG
         for _ in range(k):
             u = step(u, spec, FULL)
         tr = integrate(u0, k * 1e-3, spec, FULL, 1)
         assert np.array_equal(u.coeffs, tr.states[-1].coeffs)
+
+    def test_repeated_strang_steps_conserve_mass(self):
+        u0 = random_state(6, seed=6)
+        spec = IntegratorSpec(Scheme.STRANG, 1e-3)
+        u = u0
+        for _ in range(200):
+            u = step(u, spec, FULL)
+        assert abs(np.sum(np.abs(u.coeffs) ** 2) - 1.0) <= 1e-12

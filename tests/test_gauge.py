@@ -46,6 +46,19 @@ class TestGaugeEquivalence:
         g2 = gauge_equivalence_check(u0, 0.1, 1e-3, sample_stride=100).max_gap
         assert 8.0 < g1 / g2 < 32.0
 
+    @pytest.mark.parametrize("scheme", [Scheme.EXP_RK4, Scheme.STRANG])
+    def test_aligned_gap_splits_off_global_phase(self, scheme):
+        # dt * N^4 ~ 1e3: the EXP_RK4 gap is the global phase of its mass
+        # drift; the unitary STRANG flows agree to roundoff either way
+        u0 = random_state(32, seed=7)
+        rep = gauge_equivalence_check(u0, 0.1, 1e-3, IntegratorSpec(scheme),
+                                      sample_stride=10)
+        assert rep.aligned_gaps[0] <= 1e-15
+        if scheme is Scheme.EXP_RK4:
+            assert np.max(rep.aligned_gaps) < 1e-3 * rep.max_gap
+        else:
+            assert rep.max_gap <= 1e-13 and np.max(rep.aligned_gaps) <= 1e-13
+
     def test_defensive_spec_dt_override(self):
         u0 = random_state(4, seed=5)
         spec = IntegratorSpec(Scheme.EXP_RK4, 123.0)
