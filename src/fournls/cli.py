@@ -41,135 +41,108 @@ class RunConfig:
 
     subcommand: str
     values: dict
-    out_dir: str = "."
-    fmt: str = "json"
-    seed: int = 0
-    mu: int = 1
-    deterministic: bool = False
+    deterministic: bool
 
     def echo(self) -> dict:
-        return {"subcommand": self.subcommand, "seed": self.seed,
-                "mu": self.mu, "format": self.fmt, "out_dir": self.out_dir,
-                **self.values}
+        return {"subcommand": self.subcommand, **self.values}
 
 
-_SCHEMES = {"exp_rk4": Scheme.EXP_RK4, "strang": Scheme.STRANG}
-_KINDS = {"full": Kind.FULL_4NLS, "wick": Kind.WICK_4WNLS}
-_PROFILES = {
-    "exp_decay": ProfileKind.EXP_DECAY,
-    "power_decay": ProfileKind.POWER_DECAY,
-    "single_mode": ProfileKind.SINGLE_MODE,
-}
+# A rule is POSITIVE, NONNEG, a frozenset of allowed values, or None.
+POSITIVE, NONNEG = "positive", "nonnegative"
 
 
-def _positive(name):
-    def check(x):
-        if x <= 0:
-            raise ConfigError(f"{name} must be positive, got {x}")
-        return x
-    return check
+def _choices(enum) -> frozenset:
+    return frozenset(member.value for member in enum)
 
 
-def _nonneg(name):
-    def check(x):
-        if x < 0:
-            raise ConfigError(f"{name} must be nonnegative, got {x}")
-        return x
-    return check
+def _check(key, value, rule):
+    if rule == POSITIVE and value <= 0 or rule == NONNEG and value < 0:
+        raise ConfigError(f"{key} must be {rule}, got {value}")
+    if isinstance(rule, frozenset) and value not in rule:
+        raise ConfigError(f"{key} must be one of {sorted(rule)}, got {value!r}")
+    return value
 
 
-def _choice(name, options):
-    def check(x):
-        if x not in options:
-            raise ConfigError(f"{name} must be one of {sorted(options)}, got {x!r}")
-        return x
-    return check
-
-
-def _ident(_name):
-    return lambda x: x
-
-
-# key -> (type, default, validator factory); None default means required
+# key -> (type, default, rule); None default means required
 _COMMON_KEYS = {
-    "seed": (int, 0, _nonneg),
-    "out_dir": (str, ".", _ident),
-    "format": (str, "json", lambda n: _choice(n, {"json", "csv", "both"})),
-    "mu": (int, 1, lambda n: _choice(n, {-1, 0, 1})),
+    "seed": (int, 0, NONNEG),
+    "out_dir": (str, ".", None),
+    "format": (str, "json", frozenset({"json", "csv", "both"})),
+    "mu": (int, 1, frozenset({-1, 0, 1})),
 }
 
 # the initial-datum family shared by every subcommand that builds one
 _PROFILE_KEYS = {
-    "profile": (str, "exp_decay", lambda n: _choice(n, set(_PROFILES))),
-    "amplitude": (float, 1.0, _positive),
-    "decay": (float, 0.5, _ident),
-    "mode": (int, 0, _ident),
+    "profile": (str, "exp_decay", _choices(ProfileKind)),
+    "amplitude": (float, 1.0, POSITIVE),
+    "decay": (float, 0.5, None),
+    "mode": (int, 0, None),
 }
 
 _SCHEMAS = {
     "simulate": {
-        "equation": (str, "full", lambda n: _choice(n, set(_KINDS))),
-        "n_max": (int, None, _positive),
-        "dt": (float, None, _positive),
-        "T": (float, None, _positive),
-        "scheme": (str, "exp_rk4", lambda n: _choice(n, set(_SCHEMES))),
-        "stride": (int, 1, _positive),
-        "truncation": (int, 0, _nonneg),  # 0 = untruncated
+        "equation": (str, "full", _choices(Kind)),
+        "n_max": (int, None, POSITIVE),
+        "dt": (float, None, POSITIVE),
+        "T": (float, None, POSITIVE),
+        "scheme": (str, "exp_rk4", _choices(Scheme)),
+        "stride": (int, 1, POSITIVE),
+        "truncation": (int, 0, NONNEG),  # 0 = untruncated
         **_PROFILE_KEYS,
-        "state": (str, "", _ident),
-        "out": (str, "trajectory.jsonl", _ident),
+        "state": (str, "", None),
+        "out": (str, "trajectory.jsonl", None),
     },
     "gauge-check": {
-        "n_max": (int, 32, _positive),
-        "dt": (float, 1e-3, _positive),
-        "T": (float, 1.0, _positive),
-        "stride": (int, 1, _positive),
+        "n_max": (int, 32, POSITIVE),
+        "dt": (float, 1e-3, POSITIVE),
+        "T": (float, 1.0, POSITIVE),
+        "stride": (int, 1, POSITIVE),
         **_PROFILE_KEYS,
-        "state": (str, "", _ident),
-        "out": (str, "gauge_gap.csv", _ident),
+        "state": (str, "", None),
+        "out": (str, "gauge_gap.csv", None),
     },
     "resonance": {
-        "max": (int, None, _positive),
-        "out": (str, "resonance.csv", _ident),
+        "max": (int, None, POSITIVE),
+        "out": (str, "resonance.csv", None),
     },
     "norms": {
-        "traj": (str, None, _ident),
-        "s": (float, 0.0, _ident),
-        "b": (float, 0.5, _ident),
-        "window": (str, "cosine", lambda n: _choice(n, {"cosine", "rect"})),
-        "phase": (str, "plain", lambda n: _choice(n, {"plain", "modified"})),
-        "out": (str, "norms", _ident),
+        "traj": (str, None, None),
+        "s": (float, 0.0, None),
+        "b": (float, 0.5, None),
+        "window": (str, "cosine", frozenset({"cosine", "rect"})),
+        "phase": (str, "plain", frozenset({"plain", "modified"})),
+        "out": (str, "norms", None),
     },
     "approx": {
-        "ladder": (str, "16,32,64,128", _ident),
-        "ref_factor": (int, 4, _positive),
-        "T": (float, 0.5, _positive),
-        "dt": (float, 5e-4, _positive),
+        "ladder": (str, "16,32,64,128", None),
+        "ref_factor": (int, 4, POSITIVE),
+        "T": (float, 0.5, POSITIVE),
+        "dt": (float, 5e-4, POSITIVE),
         **_PROFILE_KEYS,
-        "out": (str, "approx_report.json", _ident),
+        "out": (str, "approx_report.json", None),
     },
     "perturb": {
-        "ladder": (str, "16,32,64", _ident),
-        "perturbation_norm": (float, 0.1, _positive),
-        "T": (float, 0.5, _positive),
-        "dt": (float, 5e-4, _positive),
-        "trials": (int, 4, _positive),
+        "ladder": (str, "16,32,64", None),
+        "perturbation_norm": (float, 0.1, POSITIVE),
+        "T": (float, 0.5, POSITIVE),
+        "dt": (float, 5e-4, POSITIVE),
+        "trials": (int, 4, POSITIVE),
         **_PROFILE_KEYS,
-        "out": (str, "perturb_report.json", _ident),
+        "out": (str, "perturb_report.json", None),
     },
     "squeeze": {
-        "equation": (str, "full", lambda n: _choice(n, set(_KINDS))),
-        "R": (float, 1.0, _positive),
-        "r": (float, 0.5, _positive),
-        "n0": (int, 1, _ident),
-        "z_re": (float, 0.0, _ident),
-        "z_im": (float, 0.0, _ident),
-        "T": (float, 0.3, _nonneg),
-        "N": (int, 16, _positive),
-        "dt": (float, 1e-3, _positive),
-        "samples": (int, 64, _positive),
-        "epsilon": (float, 0.1, _positive),
-        "out": (str, "squeeze_report.json", _ident),
+        "equation": (str, "full", _choices(Kind)),
+        "R": (float, 1.0, POSITIVE),
+        "r": (float, 0.5, POSITIVE),
+        "n0": (int, 1, None),
+        "z_re": (float, 0.0, None),
+        "z_im": (float, 0.0, None),
+        "T": (float, 0.3, NONNEG),
+        "N": (int, 16, POSITIVE),
+        "dt": (float, 1e-3, POSITIVE),
+        "samples": (int, 64, POSITIVE),
+        "epsilon": (float, 0.1, POSITIVE),
+        "out": (str, "squeeze_report.json", None),
     },
 }
 
@@ -183,64 +156,52 @@ def _coerce(key, typ, raw):
 
 def parse_config(subcommand: str, config_path: str | None, flags: dict) -> RunConfig:
     """Merge defaults, config-file keys, and flag overrides into a RunConfig."""
-    schema = dict(_COMMON_KEYS)
-    schema.update(_SCHEMAS[subcommand])
+    schema = {**_COMMON_KEYS, **_SCHEMAS[subcommand]}
 
     merged = {}
     if config_path:
         parser = configparser.ConfigParser()
         parser.optionxform = str  # keys are case-sensitive (e.g. T vs t)
-        if not parser.read(config_path):
-            raise ConfigError(f"config file not found: {config_path}")
-        for section in ("common", subcommand):
-            if parser.has_section(section):
-                for key, raw in parser.items(section):
-                    if key not in schema:
-                        raise ConfigError(f"unknown key {key!r} in [{section}]")
-                    merged[key] = raw
+        try:
+            if not parser.read(config_path):
+                raise ConfigError(f"config file not found: {config_path}")
+            for section in ("common", subcommand):
+                if parser.has_section(section):
+                    for key, raw in parser.items(section):
+                        if key not in schema:
+                            raise ConfigError(f"unknown key {key!r} in [{section}]")
+                        merged[key] = raw
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {config_path}: {exc}") from None
     for key, val in flags.items():
         if val is not None:
             merged[key] = val
 
     values = {}
-    for key, (typ, default, vfac) in schema.items():
+    for key, (typ, default, rule) in schema.items():
         if key in merged:
-            values[key] = vfac(key)(_coerce(key, typ, merged[key]))
+            values[key] = _check(key, _coerce(key, typ, merged[key]), rule)
         elif default is None:
             raise ConfigError(f"missing required key {key!r} for {subcommand}")
         else:
             values[key] = default
-    deterministic = bool(flags.get("deterministic", False))
-    return RunConfig(
-        subcommand=subcommand,
-        values={k: v for k, v in values.items() if k not in _COMMON_KEYS},
-        out_dir=values["out_dir"],
-        fmt=values["format"],
-        seed=values["seed"],
-        mu=values["mu"],
-        deterministic=deterministic,
-    )
+    return RunConfig(subcommand, values, bool(flags.get("deterministic", False)))
 
 
-def _profile_from(values: dict, seed: int) -> ProfileSpec:
-    return ProfileSpec(
-        kind=_PROFILES[values["profile"]],
-        amplitude=values["amplitude"],
-        decay=values["decay"],
-        seed=seed,
-        mode=values["mode"],
-    )
+def _profile_from(v: dict) -> ProfileSpec:
+    return ProfileSpec(ProfileKind(v["profile"]), v["amplitude"], v["decay"],
+                       v["seed"], v["mode"])
 
 
-def _initial_state(values: dict, seed: int, n_max: int):
-    if values.get("state"):
-        return load_state(values["state"]).truncate_to(n_max)
-    return _profile_from(values, seed).build(n_max)
+def _initial_state(v: dict, n_max: int):
+    if v.get("state"):
+        return load_state(v["state"]).truncate_to(n_max)
+    return _profile_from(v).build(n_max)
 
 
 def _out(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+    os.makedirs(cfg.values["out_dir"], exist_ok=True)
+    return os.path.join(cfg.values["out_dir"], name)
 
 
 def _write_csv(path, header, rows):
@@ -251,24 +212,26 @@ def _write_csv(path, header, rows):
 
 
 def _emit_report(cfg: RunConfig, report: experiments.ExperimentReport,
-                 csv_header=None, csv_row=None) -> str:
+                 columns: list) -> str:
+    """Write the report as <out> (json), <out>.csv (csv) or both; return the
+    JSON path, or the CSV path when only that is written."""
     report.stamp(cfg.deterministic)
     report.params["config_echo"] = cfg.echo()
-    path = _out(cfg, cfg.values["out"])
-    report.save_json(path)
-    if cfg.fmt in ("csv", "both") and csv_header:
-        csv_path = os.path.splitext(path)[0] + ".csv"
-        _write_csv(csv_path, csv_header, [csv_row(r) for r in report.table])
-    return path
+    fmt, path = cfg.values["format"], _out(cfg, cfg.values["out"])
+    csv_path = os.path.splitext(path)[0] + ".csv"
+    if fmt != "csv":
+        report.save_json(path)
+    if fmt != "json":
+        _write_csv(csv_path, columns, ([row[c] for c in columns] for row in report.table))
+    return csv_path if fmt == "csv" else path
 
 
 def _cmd_simulate(cfg: RunConfig) -> str:
     v = cfg.values
-    u0 = _initial_state(v, cfg.seed, v["n_max"])
-    trunc = v["truncation"] or None
-    spec = IntegratorSpec(_SCHEMES[v["scheme"]], v["dt"], trunc)
+    u0 = _initial_state(v, v["n_max"])
+    spec = IntegratorSpec(Scheme(v["scheme"]), v["dt"], v["truncation"] or None)
     traj = integrate(u0, v["T"], spec,
-                     EquationKind(_KINDS[v["equation"]], cfg.mu), v["stride"])
+                     EquationKind(Kind(v["equation"]), v["mu"]), v["stride"])
     path = _out(cfg, v["out"])
     save_trajectory(traj, path)
     final = traj[-1]
@@ -278,9 +241,8 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 
 def _cmd_gauge_check(cfg: RunConfig) -> str:
     v = cfg.values
-    u0 = _initial_state(v, cfg.seed, v["n_max"])
-    rep = gauge.gauge_equivalence_check(u0, v["T"], v["dt"],
-                                        mu_sign=cfg.mu,
+    u0 = _initial_state(v, v["n_max"])
+    rep = gauge.gauge_equivalence_check(u0, v["T"], v["dt"], mu_sign=v["mu"],
                                         sample_stride=v["stride"])
     path = _out(cfg, v["out"])
     _write_csv(path, ["t", "gap", "aligned_gap"],
@@ -333,11 +295,9 @@ def _cmd_norms(cfg: RunConfig) -> str:
 def _cmd_approx(cfg: RunConfig) -> str:
     v = cfg.values
     ladder = [int(x) for x in str(v["ladder"]).split(",")]
-    profile = _profile_from(v, cfg.seed)
     report = experiments.run_approximation_study(
-        profile, ladder, v["ref_factor"], v["T"], v["dt"], mu_sign=cfg.mu)
-    path = _emit_report(cfg, report, ["N", "error"],
-                        lambda r: (r["N"], r["error"]))
+        _profile_from(v), ladder, v["ref_factor"], v["T"], v["dt"], mu_sign=v["mu"])
+    path = _emit_report(cfg, report, ["N", "error"])
     sigma = report.fitted["rate"] if report.fitted else float("nan")
     return f"approx: ladder={ladder} fitted_rate={sigma:.3f} -> {path}"
 
@@ -345,12 +305,10 @@ def _cmd_approx(cfg: RunConfig) -> str:
 def _cmd_perturb(cfg: RunConfig) -> str:
     v = cfg.values
     ladder = [int(x) for x in str(v["ladder"]).split(",")]
-    profile = _profile_from(v, cfg.seed)
     report = experiments.run_perturbation_study(
-        profile, ladder, v["perturbation_norm"], v["T"], v["dt"],
-        trials=v["trials"], seed=cfg.seed, mu_sign=cfg.mu)
-    path = _emit_report(cfg, report, ["N_prime", "divergence"],
-                        lambda r: (r["N_prime"], r["divergence"]))
+        _profile_from(v), ladder, v["perturbation_norm"], v["T"], v["dt"],
+        trials=v["trials"], seed=v["seed"], mu_sign=v["mu"])
+    path = _emit_report(cfg, report, ["N_prime", "divergence"])
     divs = [r["divergence"] for r in report.table]
     return f"perturb: ladder={ladder} divergences={divs} -> {path}"
 
@@ -361,9 +319,8 @@ def _cmd_squeeze(cfg: RunConfig) -> str:
     report = experiments.run_squeeze_probe(
         u_star, v["R"], v["r"], v["n0"], complex(v["z_re"], v["z_im"]),
         v["T"], v["N"], v["dt"], v["samples"], v["epsilon"],
-        seed=cfg.seed, mu_sign=cfg.mu, kind=_KINDS[v["equation"]])
-    path = _emit_report(cfg, report, ["label", "radius", "margin"],
-                        lambda r: (r["label"], r["radius"], r["margin"]))
+        seed=v["seed"], mu_sign=v["mu"], kind=Kind(v["equation"]))
+    path = _emit_report(cfg, report, ["label", "radius", "margin"])
     best = report.fitted
     return (f"squeeze: best_margin={best['best_margin']:.6f} "
             f"witness={'yes' if best['witness_found'] else 'no'} -> {path}")
@@ -395,35 +352,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(cfg: RunConfig) -> int:
-    try:
-        summary = _HANDLERS[cfg.subcommand](cfg)
-    except NumericFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(summary)
-    return 0
+def parse_argv(argv=None) -> RunConfig:
+    """The RunConfig of a 4nls command line (argv without the program name)."""
+    flags = vars(build_parser().parse_args(argv))
+    flags.pop("table_word", None)
+    return parse_config(flags.pop("subcommand"), flags.pop("config"), flags)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = vars(parser.parse_args(argv))
-    sub = args.pop("subcommand")
-    args.pop("table_word", None)
-    config_path = args.pop("config", None)
-    deterministic = args.pop("deterministic", False)
-    flags = {k: v for k, v in args.items() if v is not None}
-    flags["deterministic"] = deterministic
     try:
-        cfg = parse_config(sub, config_path, flags)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return dispatch(cfg)
+        cfg = parse_argv(argv)
+        print(_HANDLERS[cfg.subcommand](cfg))
+    except NumericFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft
+from scipy.fft import fft
 
-from .spectrum import FourierState, Trajectory, odd_padded_grid_size, padded_grid_size
+from .spectrum import (FourierState, Trajectory, odd_padded_grid_size,
+                       padded_grid_size, to_grid)
 
 
 class NumericFailure(RuntimeError):
@@ -90,23 +91,15 @@ def _conv_plan(n_max: int) -> tuple:
     return m, idx
 
 
-def _grid(c, m, idx) -> np.ndarray:
-    """Zero-pad the amplitudes c onto the length-m FFT layout idx and
-    transform to the physical grid (without the factor m)."""
-    spectrum = np.zeros(m, dtype=np.complex128)
-    spectrum[idx] = c
-    return ifft(spectrum)
-
-
 def _cubic_conv_raw(cu, cv, cw, m, idx) -> np.ndarray:
     """Raw-array cubic convolution: one zero-padded grid round trip.
 
     An argument that is the same array as cu reuses its inverse FFT, so
     the self-product costs one inverse transform instead of three.
     """
-    gu = _grid(cu, m, idx)
-    gv = gu if cv is cu else _grid(cv, m, idx)
-    gw = gu if cw is cu else _grid(cw, m, idx)
+    gu = to_grid(cu, m, idx)
+    gv = gu if cv is cu else to_grid(cv, m, idx)
+    gw = gu if cw is cu else to_grid(cw, m, idx)
     with np.errstate(invalid="ignore", over="ignore"):
         return fft(gu * np.conj(gv) * gw * (m * m))[idx]
 
@@ -191,7 +184,7 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
         def strang(c):
             c = e_half * c
             if kind.mu != 0:
-                grid = _grid(c, m, idx) * m
+                grid = to_grid(c, m, idx) * m
                 phase = -kind.mu * np.abs(grid) ** 2 * dt
                 if kind.kind is Kind.WICK_4WNLS:
                     phase = phase + 2.0 * kind.mu * np.sum(np.abs(c) ** 2) * dt

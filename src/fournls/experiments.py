@@ -32,7 +32,6 @@ class ProfileKind(Enum):
     EXP_DECAY = "exp_decay"
     POWER_DECAY = "power_decay"
     SINGLE_MODE = "single_mode"
-    EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class ProfileSpec:
 
     amplitude is the target l2 norm of the generated state. decay is the
     exponential rate / power exponent; mode selects the excited frequency
-    for SINGLE_MODE; state carries the datum for EXPLICIT.
+    for SINGLE_MODE.
     """
 
     kind: ProfileKind
@@ -49,13 +48,8 @@ class ProfileSpec:
     decay: float = 0.5
     seed: int = 0
     mode: int = 0
-    state: FourierState | None = None
 
     def build(self, n_max: int) -> FourierState:
-        if self.kind is ProfileKind.EXPLICIT:
-            if self.state is None:
-                raise ValueError("EXPLICIT profile requires a state")
-            return self.state.truncate_to(n_max)
         if self.kind is ProfileKind.SINGLE_MODE:
             if abs(self.mode) > n_max:
                 raise ValueError("single mode outside truncation")
@@ -83,11 +77,8 @@ class ExperimentReport:
     artifacts: list = field(default_factory=list)
     created: float = 0.0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -185,13 +176,7 @@ def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
 
 
 def _profile_params(profile: ProfileSpec) -> dict:
-    return {
-        "kind": profile.kind.value,
-        "amplitude": profile.amplitude,
-        "decay": profile.decay,
-        "seed": profile.seed,
-        "mode": profile.mode,
-    }
+    return {**asdict(profile), "kind": profile.kind.value}
 
 
 def high_frequency_perturbation(rng: np.random.Generator, n_prime: int,

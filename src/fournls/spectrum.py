@@ -203,10 +203,15 @@ def synthesize(state: FourierState, grid_size: int) -> np.ndarray:
             f"grid of {m} samples too short for n_max={state.n_max};"
             f" need >= {2 * state.n_max + 1}"
         )
-    spec = np.zeros(m, dtype=np.complex128)
-    ns = np.arange(-state.n_max, state.n_max + 1)
-    spec[ns % m] = state.coeffs
-    return ifft(spec) * m
+    return to_grid(state.coeffs, m, np.arange(-state.n_max, state.n_max + 1) % m) * m
+
+
+def to_grid(c, m: int, idx) -> np.ndarray:
+    """Zero-pad the amplitudes c onto the length-m FFT layout idx and
+    transform to the physical grid (without the factor m)."""
+    spectrum = np.zeros(m, dtype=np.complex128)
+    spectrum[idx] = c
+    return ifft(spectrum)
 
 
 def padded_grid_size(n_max: int) -> int:
@@ -324,6 +329,9 @@ def load_trajectory(path) -> Trajectory:
     if not lines:
         raise FileFormatError(f"{path}: empty trajectory file")
     header, n_max = _header(lines[0], TRAJ_FORMAT, f"{path}: header")
+    t0, dt = header.get("t0"), header.get("dt")
+    if type(t0) not in (int, float) or type(dt) not in (int, float):
+        raise FileFormatError(f"{path}: header: t0, dt must be numbers, found {t0!r}, {dt!r}")
     if len(lines) == 1:
         raise FileFormatError(f"{path}: trajectory has no states")
     coeffs = None
@@ -338,6 +346,6 @@ def load_trajectory(path) -> Trajectory:
         coeffs[i] = row
     coeffs.flags.writeable = False
     try:
-        return Trajectory(float(header["t0"]), float(header["dt"]), coeffs)
-    except (KeyError, TypeError, ValueError) as exc:
+        return Trajectory(float(t0), float(dt), coeffs)
+    except (OverflowError, ValueError) as exc:
         raise FileFormatError(f"{path}: header: bad t0 or dt: {exc!r}") from exc

@@ -1,12 +1,15 @@
 import csv
 import json
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fournls.cli import build_parser, main, parse_config, ConfigError
+from fournls.cli import ConfigError, main, parse_argv, parse_config
+from fournls.dynamics import EquationKind, IntegratorSpec, Kind, Scheme, integrate
+from fournls.experiments import ProfileKind, ProfileSpec
 from fournls.spectrum import load_trajectory, save_state, FourierState
 
 
@@ -18,7 +21,7 @@ class TestParseConfig:
     def test_defaults_filled(self):
         cfg = parse_config("gauge-check", None, {})
         assert cfg.values["n_max"] == 32
-        assert cfg.seed == 0 and cfg.mu == 1
+        assert cfg.values["seed"] == 0 and cfg.values["mu"] == 1
 
     def test_missing_required_key_named(self):
         with pytest.raises(ConfigError, match="dt"):
@@ -35,7 +38,7 @@ class TestParseConfig:
         p.write_text("[common]\nseed = 3\n[gauge-check]\nn_max = 8\n")
         cfg = parse_config("gauge-check", str(p), {"n_max": "16"})
         assert cfg.values["n_max"] == 16
-        assert cfg.seed == 3
+        assert cfg.values["seed"] == 3
 
     def test_type_error_named(self):
         with pytest.raises(ConfigError, match="n_max"):
@@ -51,10 +54,51 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mu"):
             parse_config("gauge-check", None, {"mu": "2"})
 
+    @pytest.mark.parametrize("flags, message", [
+        ({"n_max": "0"}, "n_max must be positive, got 0"),
+        ({"seed": "-1"}, "seed must be nonnegative, got -1"),
+        ({"profile": "explicit"}, "profile must be one of ['exp_decay', 'power_decay',"
+                                  " 'single_mode'], got 'explicit'"),
+    ])
+    def test_bad_value_message(self, flags, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("gauge-check", None, flags)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "seed = 1\n",
+        "[common]\nseed = 1\n[common]\nmu = 0\n",
+        "[common]\nseed = 1\nseed = 2\n",
+    ], ids=["no-section", "repeated-section", "repeated-key"])
+    def test_malformed_config_file(self, tmp_path, capsys, text):
+        p = tmp_path / "c.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(str(p))):
+            parse_config("resonance", str(p), {"max": "1"})
+        assert run(["resonance", "table", "--config", p, "--max", 1,
+                    "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: malformed config file {p}")
+
     def test_config_echo_contains_effective_values(self):
         cfg = parse_config("resonance", None, {"max": "5"})
         echo = cfg.echo()
         assert echo["max"] == 5 and echo["subcommand"] == "resonance"
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, member.value)
+    for key, enum in (("scheme", Scheme), ("equation", Kind), ("profile", ProfileKind))
+    for member in enum
+])
+def test_every_enum_value_reaches_the_handler(tmp_path, key, value):
+    opts = {"scheme": "exp_rk4", "equation": "full", "profile": "exp_decay", key: value}
+    assert run(["simulate", "--n-max", 4, "--dt", "1e-3", "--T", "0.005",
+                *[a for k, v in opts.items() for a in (f"--{k}", v)],
+                "--out-dir", tmp_path, "--out", "t.jsonl"]) == 0
+    u0 = ProfileSpec(ProfileKind(opts["profile"])).build(4)
+    expected = integrate(u0, 0.005, IntegratorSpec(Scheme(opts["scheme"]), 1e-3),
+                         EquationKind(Kind(opts["equation"])), 1)
+    assert np.array_equal(load_trajectory(tmp_path / "t.jsonl").coeffs, expected.coeffs)
 
 
 class TestSimulate:
@@ -187,6 +231,15 @@ class TestExperimentSubcommands:
             rows = list(csv.DictReader(fh))
         assert [int(r["N"]) for r in rows] == [6, 8]
 
+    def test_approx_csv_format_writes_no_json(self, tmp_path, capsys):
+        assert run(["approx", "--ladder", "6,8", "--ref-factor", 2,
+                    "--T", "0.01", "--dt", "1e-3", "--format", "csv",
+                    "--out-dir", tmp_path, "--out", "a.json"]) == 0
+        assert not (tmp_path / "a.json").exists()
+        assert capsys.readouterr().out.endswith(f" -> {tmp_path / 'a.csv'}\n")
+        with open(tmp_path / "a.csv") as fh:
+            assert [int(r["N"]) for r in csv.DictReader(fh)] == [6, 8]
+
     def test_perturb(self, tmp_path):
         assert run(["perturb", "--ladder", "4,6", "--T", "0.01",
                     "--dt", "1e-3", "--trials", 2, "--out-dir", tmp_path,
@@ -227,9 +280,5 @@ def test_readme_command_lines_parse():
              if ln.startswith("4nls ")]
     assert lines
     for line in lines:
-        args = vars(build_parser().parse_args(shlex.split(line)[1:]))
-        sub = args.pop("subcommand")
-        args.pop("table_word", None)
-        config_path = args.pop("config")
-        flags = {k: v for k, v in args.items() if v is not None}
-        assert parse_config(sub, config_path, flags).subcommand == sub
+        argv = shlex.split(line)[1:]
+        assert parse_argv(argv).subcommand == argv[0]

@@ -48,11 +48,6 @@ class TestProfiles:
         spec = ProfileSpec(ProfileKind.EXP_DECAY, 1.0, 0.3, seed=5)
         assert np.array_equal(spec.build(8).coeffs, spec.build(8).coeffs)
 
-    def test_explicit_state(self):
-        st = FourierState.from_modes(4, {1: 1.0})
-        u = ProfileSpec(ProfileKind.EXPLICIT, 1.0, 0.0, state=st).build(4)
-        assert np.array_equal(u.coeffs, st.coeffs)
-
 
 class TestFitDecayRate:
     def test_exact_power_law(self):

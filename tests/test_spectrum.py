@@ -310,6 +310,10 @@ class TestFileFormats:
                                        REC0], id="inf-t0"),
         pytest.param(load_trajectory, [HEADER.replace(', "dt": 0.1', ""), REC0],
                      id="no-dt"),
+        pytest.param(load_trajectory, [HEADER.replace('"t0": 0.0', '"t0": "0.5"'), REC0],
+                     id="string-t0"),
+        pytest.param(load_trajectory, [HEADER.replace('"dt": 0.1', '"dt": true'), REC0],
+                     id="bool-dt"),
         pytest.param(load_trajectory, [HEADER, REC0.replace("0.5, -0.5", "1e999, -0.5")],
                      id="overflow"),
         pytest.param(load_state, ['{"format": "4nls-state/1", "coeffs": [[1.0, 0.0]]}'],
