@@ -28,6 +28,7 @@ from .dynamics import (
     cubic_convolution,
     exact_resonant_flow,
     integrate,
+    integrate_batch,
     nonlinearity_nonresonant,
     nonlinearity_resonant,
     rhs,

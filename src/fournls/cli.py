@@ -63,6 +63,16 @@ def _check(key, value, rule):
     return value
 
 
+class IntList(str):
+    """Comma-separated ints such as "16,32,64". The value stays its text, so
+    a report echoes it as given; ``ints`` holds the parsed list."""
+
+    def __new__(cls, raw):
+        self = super().__new__(cls, raw)
+        self.ints = [int(x) for x in self.split(",")]
+        return self
+
+
 # key -> (type, default, rule); None default means required
 _COMMON_KEYS = {
     "seed": (int, 0, NONNEG),
@@ -114,7 +124,7 @@ _SCHEMAS = {
         "out": (str, "norms", None),
     },
     "approx": {
-        "ladder": (str, "16,32,64,128", None),
+        "ladder": (IntList, IntList("16,32,64,128"), None),
         "ref_factor": (int, 4, POSITIVE),
         "T": (float, 0.5, POSITIVE),
         "dt": (float, 5e-4, POSITIVE),
@@ -122,7 +132,7 @@ _SCHEMAS = {
         "out": (str, "approx_report.json", None),
     },
     "perturb": {
-        "ladder": (str, "16,32,64", None),
+        "ladder": (IntList, IntList("16,32,64"), None),
         "perturbation_norm": (float, 0.1, POSITIVE),
         "T": (float, 0.5, POSITIVE),
         "dt": (float, 5e-4, POSITIVE),
@@ -294,7 +304,7 @@ def _cmd_norms(cfg: RunConfig) -> str:
 
 def _cmd_approx(cfg: RunConfig) -> str:
     v = cfg.values
-    ladder = [int(x) for x in str(v["ladder"]).split(",")]
+    ladder = v["ladder"].ints
     report = experiments.run_approximation_study(
         _profile_from(v), ladder, v["ref_factor"], v["T"], v["dt"], mu_sign=v["mu"])
     path = _emit_report(cfg, report, ["N", "error"])
@@ -304,7 +314,7 @@ def _cmd_approx(cfg: RunConfig) -> str:
 
 def _cmd_perturb(cfg: RunConfig) -> str:
     v = cfg.values
-    ladder = [int(x) for x in str(v["ladder"]).split(",")]
+    ladder = v["ladder"].ints
     report = experiments.run_perturbation_study(
         _profile_from(v), ladder, v["perturbation_norm"], v["T"], v["dt"],
         trials=v["trials"], seed=v["seed"], mu_sign=v["mu"])

@@ -101,7 +101,7 @@ def _cubic_conv_raw(cu, cv, cw, m, idx) -> np.ndarray:
     gv = gu if cv is cu else to_grid(cv, m, idx)
     gw = gu if cw is cu else to_grid(cw, m, idx)
     with np.errstate(invalid="ignore", over="ignore"):
-        return fft(gu * np.conj(gv) * gw * (m * m))[idx]
+        return fft(gu * np.conj(gv) * gw * (m * m)).take(idx, axis=-1)
 
 
 def cubic_convolution(u: FourierState, v: FourierState, w: FourierState) -> FourierState:
@@ -134,14 +134,15 @@ def nonlinearity_nonresonant(u: FourierState) -> FourierState:
 
 
 def _nonlinear_rhs_raw(c: np.ndarray, kind: EquationKind, m, idx) -> np.ndarray:
-    """Nonlinear part of dc/dt (linear phase excluded), raw arrays."""
+    """Nonlinear part of dc/dt (linear phase excluded) for raw amplitude
+    rows c of shape (..., 2*n_max+1)."""
     if kind.mu == 0:
         return np.zeros_like(c)
     conv = _cubic_conv_raw(c, c, c, m, idx)
     if kind.kind is Kind.FULL_4NLS:
         return -1j * kind.mu * conv
     # wick: resonant self-phase kept, mass shift removed from the convolution
-    mass = np.sum(np.abs(c) ** 2)
+    mass = np.sum(np.abs(c) ** 2, axis=-1, keepdims=True)
     return kind.mu * (-1j * conv + 2j * mass * c)
 
 
@@ -149,24 +150,28 @@ def rhs(u: FourierState, kind: EquationKind, truncation: int | None = None) -> F
     """Full time derivative dc/dt, optionally with projected nonlinearity."""
     n4 = u.modes.astype(np.float64) ** 4
     if truncation is not None:
-        _check_support(u, truncation)
+        _check_support(u.coeffs, truncation)
     nl = _nonlinear_rhs_raw(u.coeffs, kind, *_conv_plan(u.n_max))
     if truncation is not None:
         nl = np.where(np.abs(u.modes) <= truncation, nl, 0.0)
     return u.with_coeffs(1j * n4 * u.coeffs + nl)
 
 
-def _check_support(u: FourierState, truncation: int) -> None:
-    if truncation > u.n_max:
+def _check_support(c: np.ndarray, truncation: int) -> None:
+    """Every amplitude row c[..., :] vanishes outside |n| <= truncation."""
+    n_max = (c.shape[-1] - 1) // 2
+    if truncation > n_max:
         raise ValueError("truncation exceeds state n_max")
-    if np.any(u.coeffs[np.abs(u.modes) > truncation] != 0.0):
+    outside = np.abs(np.arange(-n_max, n_max + 1)) > truncation
+    if np.any(c[..., outside] != 0.0):
         raise ValueError(
             f"truncated run requires data supported in |n| <= {truncation}"
         )
 
 
 def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
-    """Raw-array one-step map c -> c(dt) for amplitudes n = -n_max..n_max.
+    """Raw-array one-step map c -> c(dt) for amplitude rows of shape
+    (..., 2*n_max+1), n = -n_max..n_max; each row steps independently.
 
     The phases e^{i dt n^4/2}, the FFT layout and the truncation mask are
     built once here, so a run pays for them once rather than every step.
@@ -187,8 +192,9 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
                 grid = to_grid(c, m, idx) * m
                 phase = -kind.mu * np.abs(grid) ** 2 * dt
                 if kind.kind is Kind.WICK_4WNLS:
-                    phase = phase + 2.0 * kind.mu * np.sum(np.abs(c) ** 2) * dt
-                c = (fft(grid * np.exp(1j * phase)) / m)[idx]
+                    mass = np.sum(np.abs(c) ** 2, axis=-1, keepdims=True)
+                    phase = phase + 2.0 * kind.mu * mass * dt
+                c = (fft(grid * np.exp(1j * phase)) / m).take(idx, axis=-1)
             return e_half * c
 
         return strang
@@ -215,21 +221,21 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
     return rk4
 
 
-def _run(u0: FourierState, k: int, spec: IntegratorSpec, kind: EquationKind,
-         sample_stride: int) -> Trajectory:
-    """Take k steps from u0 on raw arrays and u0's grid, writing every
-    sample_stride-th state into the trajectory's one array, starting with
-    the datum.
+def _run(c0: np.ndarray, k: int, spec: IntegratorSpec, kind: EquationKind,
+         sample_stride: int) -> np.ndarray:
+    """Take k steps from the raw amplitude rows c0, shape (..., 2N+1), on
+    their own grid, writing every sample_stride-th state into one read-only
+    (k // sample_stride + 1, ..., 2N+1) array, starting with the datum.
+    A single trajectory is the 1-D case.
 
-    Raises ValueError for a truncation the datum does not satisfy and
-    NumericFailure(i) when step i leaves non-finite amplitudes.
+    Raises ValueError for a truncation some row does not satisfy and
+    NumericFailure(i) when step i leaves a non-finite amplitude in any row.
     """
     if spec.truncation is not None:
-        _check_support(u0, spec.truncation)
-    advance = _stepper(u0.n_max, spec, kind)
-    c = u0.coeffs
-    samples = np.empty((k // sample_stride + 1, len(c)), dtype=np.complex128)
-    samples[0] = c
+        _check_support(c0, spec.truncation)
+    advance = _stepper((c0.shape[-1] - 1) // 2, spec, kind)
+    samples = np.empty((k // sample_stride + 1,) + c0.shape, dtype=np.complex128)
+    samples[0] = c = c0
     for i in range(k):
         c = advance(c)
         if not np.all(np.isfinite(c.view(np.float64))):
@@ -237,7 +243,29 @@ def _run(u0: FourierState, k: int, spec: IntegratorSpec, kind: EquationKind,
         if (i + 1) % sample_stride == 0:
             samples[(i + 1) // sample_stride] = c
     samples.flags.writeable = False
-    return Trajectory(0.0, spec.dt * sample_stride, samples)
+    return samples
+
+
+def _prepare(c0: np.ndarray, T: float, spec: IntegratorSpec,
+             sample_stride: int) -> tuple[np.ndarray, int]:
+    """integrate's argument checks: the datum rows (lifted under STRANG)
+    and the step count k. The truncation support is checked by _run."""
+    if sample_stride < 1:
+        raise ValueError("sample_stride must be >= 1")
+    k_float = T / spec.dt
+    k = round(k_float)
+    if k < 0 or abs(k_float - k) > 1e-12 * max(1.0, abs(k_float)):
+        raise ValueError(f"T={T} is not a nonnegative integer multiple of dt={spec.dt}")
+    if k % sample_stride != 0:
+        raise ValueError("sample_stride must divide the number of steps")
+    if spec.scheme is Scheme.STRANG:
+        # zero-pad so the collocation grid 2*n_max+1 is alias-safe and odd
+        n_max = (c0.shape[-1] - 1) // 2
+        lift = (odd_padded_grid_size(n_max) - 1) // 2
+        padded = np.zeros(c0.shape[:-1] + (2 * lift + 1,), dtype=np.complex128)
+        padded[..., lift - n_max : lift + n_max + 1] = c0
+        c0 = padded
+    return c0, k
 
 
 def step(u: FourierState, spec: IntegratorSpec, kind: EquationKind) -> FourierState:
@@ -249,7 +277,7 @@ def step(u: FourierState, spec: IntegratorSpec, kind: EquationKind) -> FourierSt
     datum integrate(u0, 0, spec, kind)[-1]; k steps from it equal
     integrate(u0, k*dt, spec, kind)[-1] bit for bit.
     """
-    return _run(u, 1, spec, kind, 1)[-1]
+    return u.with_coeffs(_run(u.coeffs, 1, spec, kind, 1)[-1])
 
 
 def integrate(u0: FourierState, T: float, spec: IntegratorSpec,
@@ -264,18 +292,29 @@ def integrate(u0: FourierState, T: float, spec: IntegratorSpec,
     l2-isometry), so the returned states carry the enlarged n_max, also
     for T = 0.
     """
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
-    k_float = T / spec.dt
-    k = round(k_float)
-    if k < 0 or abs(k_float - k) > 1e-12 * max(1.0, abs(k_float)):
-        raise ValueError(f"T={T} is not a nonnegative integer multiple of dt={spec.dt}")
-    if k % sample_stride != 0:
-        raise ValueError("sample_stride must divide the number of steps")
-    if spec.scheme is Scheme.STRANG:
-        # zero-pad so the collocation grid 2*n_max+1 is alias-safe and odd
-        u0 = u0.pad_to((odd_padded_grid_size(u0.n_max) - 1) // 2)
-    return _run(u0, k, spec, kind, sample_stride)
+    c0, k = _prepare(u0.coeffs, T, spec, sample_stride)
+    return Trajectory(0.0, spec.dt * sample_stride, _run(c0, k, spec, kind, sample_stride))
+
+
+def integrate_batch(data, T: float, spec: IntegratorSpec, kind: EquationKind,
+                    sample_stride: int = 1) -> np.ndarray:
+    """Integrate B data at once: the rows of data, shape (B, 2*n_max+1),
+    are amplitudes c_n, |n| <= n_max, as in FourierState.coeffs.
+
+    Takes integrate's arguments and checks (the truncation support must hold
+    for every row) and returns a read-only (samples, B, 2*n_max+1) array
+    whose column [:, b] equals integrate's trajectory of row b bit for bit,
+    n_max enlarged under STRANG as there. The rows step together through
+    the same kernel, so NumericFailure(i) names the first step after which
+    any row has a non-finite amplitude.
+    """
+    c = np.ascontiguousarray(data, dtype=np.complex128)
+    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] % 2 == 0:
+        raise ValueError(f"data must be (B, 2*n_max+1) rows with B >= 1, got {c.shape}")
+    if not np.all(np.isfinite(c.view(np.float64))):
+        raise ValueError("data contain NaN or Inf")
+    c0, k = _prepare(c, T, spec, sample_stride)
+    return _run(c0, k, spec, kind, sample_stride)
 
 
 def exact_resonant_flow(u0: FourierState, t: float, mu: int = 1) -> FourierState:

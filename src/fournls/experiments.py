@@ -15,8 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import EquationKind, IntegratorSpec, Kind, Scheme, integrate
-from .spectrum import FourierState, Trajectory
+from .dynamics import (EquationKind, IntegratorSpec, Kind, Scheme, integrate,
+                       integrate_batch)
+from .spectrum import FourierState
 
 
 def derive_rng(root_seed: int, *key) -> np.random.Generator:
@@ -116,12 +117,18 @@ def _choose_stride(steps: int) -> int:
     return best
 
 
-def _low_mode_gap(a: Trajectory, b: Trajectory, cutoff: int) -> float:
-    """Largest l2 gap over the samples between the modes |n| <= cutoff of a
-    and b (cutoff must not exceed either radius)."""
-    low_a = a.coeffs[:, a.n_max - cutoff : a.n_max + cutoff + 1]
-    low_b = b.coeffs[:, b.n_max - cutoff : b.n_max + cutoff + 1]
-    return float(np.max(np.linalg.norm(low_a - low_b, axis=1)))
+def _low_modes(c: np.ndarray, cutoff: int) -> np.ndarray:
+    """The modes |n| <= cutoff of amplitude rows c, shape (..., 2*n_max+1)."""
+    n_max = (c.shape[-1] - 1) // 2
+    return c[..., n_max - cutoff : n_max + cutoff + 1]
+
+
+def _low_mode_gap(a: np.ndarray, b: np.ndarray, cutoff: int) -> float:
+    """Largest l2 gap between the modes |n| <= cutoff of the sample rows a
+    and b (broadcast over their leading axes; 0.0 when there are none).
+    cutoff must not exceed either radius."""
+    gaps = np.linalg.norm(_low_modes(a, cutoff) - _low_modes(b, cutoff), axis=-1)
+    return float(np.max(gaps, initial=0.0))
 
 
 def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
@@ -152,7 +159,7 @@ def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
         ref = integrate(ref_datum, T,
                         IntegratorSpec(Scheme.EXP_RK4, dt, truncation=ref_factor * n),
                         eq, stride)
-        return {"N": n, "error": _low_mode_gap(tr, ref, math.isqrt(n))}
+        return {"N": n, "error": _low_mode_gap(tr.coeffs, ref.coeffs, math.isqrt(n))}
 
     table = [one(n) for n in ladder]
     fitted = None
@@ -198,8 +205,8 @@ def run_perturbation_study(profile: ProfileSpec, n_primes,
     """Low-frequency stability under high-frequency data perturbations.
 
     For each N' in the ladder: co-evolve the datum and N'-agreeing
-    perturbed data at resolution 2N' and record the worst sampled
-    divergence of the modes |n| <= N' - floor(sqrt(N'))."""
+    perturbed data at resolution 2N' as one batch and record the worst
+    sampled divergence of the modes |n| <= N' - floor(sqrt(N'))."""
     if isinstance(n_primes, int):
         n_primes = [n_primes]
     ladder = [int(n) for n in n_primes]
@@ -211,21 +218,16 @@ def run_perturbation_study(profile: ProfileSpec, n_primes,
         res = 2 * n_prime
         u0 = profile.build(res)
         spec = IntegratorSpec(Scheme.EXP_RK4, dt, truncation=res)
-        base_traj = integrate(u0, T, spec, eq, stride)
-        cutoff = n_prime - math.isqrt(n_prime)
-        worst = 0.0
+        data = [u0.coeffs]
         for trial in range(trials):
             rng = derive_rng(seed, "perturb", n_prime, trial)
-            if perturbation_norm == 0.0:
-                pert_traj = base_traj
-            else:
-                d = high_frequency_perturbation(rng, n_prime, res, perturbation_norm)
-                if np.any(d.coeffs[np.abs(d.modes) <= n_prime] != 0.0):
-                    raise ValueError("perturbation leaks into |n| <= N'")
-                pert_traj = integrate(
-                    u0.with_coeffs(u0.coeffs + d.coeffs), T, spec, eq, stride
-                )
-            worst = max(worst, _low_mode_gap(base_traj, pert_traj, cutoff))
+            d = high_frequency_perturbation(rng, n_prime, res, perturbation_norm)
+            if np.any(d.coeffs[np.abs(d.modes) <= n_prime] != 0.0):
+                raise ValueError("perturbation leaks into |n| <= N'")
+            data.append(u0.coeffs + d.coeffs)
+        samples = integrate_batch(np.stack(data), T, spec, eq, stride)
+        cutoff = n_prime - math.isqrt(n_prime)
+        worst = _low_mode_gap(samples[:, :1], samples[:, 1:], cutoff)
         return {"N_prime": n_prime, "divergence": worst}
 
     table = [one(n) for n in ladder]
@@ -253,8 +255,8 @@ def run_squeeze_probe(u_star: FourierState, R: float, r: float, n0: int,
 
     Candidates u0 = P_{<=N} u_star + rho * d are drawn mostly on the sphere
     rho = R - epsilon (a targeted phase sweep of the n0 mode plus seeded
-    random directions; 10% of the budget probes the ball interior). Each is
-    evolved under the truncated flow to time T and scored by
+    random directions; 10% of the budget probes the ball interior). All are
+    evolved together under the truncated flow to time T and scored by
 
         margin(u0) = |c(T, n0) - z| - r.
 
@@ -296,14 +298,10 @@ def run_squeeze_probe(u_star: FourierState, R: float, r: float, n0: int,
         d /= np.linalg.norm(d)
         candidates.append((f"interior:{k}", d, rho * rng.random()))
 
-    def one(cand):
-        label, d, radius = cand
-        u0 = base.with_coeffs(base.coeffs + radius * d)
-        traj = integrate(u0, T, spec, eq, sample_stride=max(1, round(T / dt)))
-        margin = abs(traj[-1].mode(n0) - z) - r
-        return {"label": label, "radius": radius, "margin": float(margin)}
-
-    table = [one(cand) for cand in candidates]
+    data = np.stack([base.coeffs + radius * d for _, d, radius in candidates])
+    final = integrate_batch(data, T, spec, eq, sample_stride=max(1, round(T / dt)))[-1]
+    table = [{"label": label, "radius": radius, "margin": float(abs(complex(c) - z) - r)}
+             for (label, _, radius), c in zip(candidates, final[:, n0 + N])]
     best = max(table, key=lambda row: row["margin"])
     params = {
         "R": R,

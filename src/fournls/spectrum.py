@@ -207,10 +207,11 @@ def synthesize(state: FourierState, grid_size: int) -> np.ndarray:
 
 
 def to_grid(c, m: int, idx) -> np.ndarray:
-    """Zero-pad the amplitudes c onto the length-m FFT layout idx and
-    transform to the physical grid (without the factor m)."""
-    spectrum = np.zeros(m, dtype=np.complex128)
-    spectrum[idx] = c
+    """Zero-pad the amplitudes c, shape (..., 2*n_max+1), onto the length-m
+    FFT layout idx and transform the last axis to the physical grid
+    (without the factor m)."""
+    spectrum = np.zeros(c.shape[:-1] + (m,), dtype=np.complex128)
+    spectrum.T[idx] = c.T  # scatter along the last axis; cheaper than [..., idx]
     return ifft(spectrum)
 
 

@@ -65,6 +65,20 @@ class TestParseConfig:
             parse_config("gauge-check", None, flags)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("subcommand, raw", [
+        ("approx", "16,x"), ("perturb", ""), ("perturb", "16,,32"),
+    ])
+    def test_bad_ladder_message_names_key(self, subcommand, raw):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(subcommand, None, {"ladder": raw})
+        assert str(exc.value) == f"ladder: expected IntList, got {raw!r}"
+
+    def test_ladder_parsed_and_echoed_as_given(self):
+        cfg = parse_config("perturb", None, {"ladder": "8, 16"})
+        assert cfg.values["ladder"].ints == [8, 16]
+        assert json.loads(json.dumps(cfg.echo()))["ladder"] == "8, 16"
+        assert parse_config("approx", None, {}).values["ladder"].ints == [16, 32, 64, 128]
+
     @pytest.mark.parametrize("text", [
         "seed = 1\n",
         "[common]\nseed = 1\n[common]\nmu = 0\n",

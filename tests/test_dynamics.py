@@ -14,6 +14,7 @@ from fournls.dynamics import (
     cubic_convolution,
     exact_resonant_flow,
     integrate,
+    integrate_batch,
     nonlinearity_nonresonant,
     nonlinearity_resonant,
     rhs,
@@ -41,6 +42,28 @@ def random_state(n_max, seed=0, norm=1.0):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=2 * n_max + 1) + 1j * rng.normal(size=2 * n_max + 1)
     return FourierState(n_max, c * (norm / np.linalg.norm(c)))
+
+
+# (spec, kind) per branch of the stepping kernel: scheme, equation, mu and
+# truncation (radius 5). Ids "None", "5" and "strang" name the truncation.
+KERNEL_CASES = {
+    "None": (IntegratorSpec(Scheme.EXP_RK4, 1e-3), FULL),
+    "5": (IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=5), FULL),
+    "strang": (IntegratorSpec(Scheme.STRANG, 1e-3), FULL),
+    "wick": (IntegratorSpec(Scheme.EXP_RK4, 1e-3), WICK),
+    "wick-5": (IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=5), WICK),
+    "mu-1": (IntegratorSpec(Scheme.EXP_RK4, 1e-3), EquationKind(Kind.FULL_4NLS, -1)),
+    "mu0-5": (IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=5),
+              EquationKind(Kind.FULL_4NLS, 0)),
+    "wick-mu-1": (IntegratorSpec(Scheme.EXP_RK4, 1e-3), EquationKind(Kind.WICK_4WNLS, -1)),
+    "strang-wick": (IntegratorSpec(Scheme.STRANG, 1e-3), WICK),
+    "strang-mu0": (IntegratorSpec(Scheme.STRANG, 1e-3), EquationKind(Kind.FULL_4NLS, 0)),
+}
+
+
+def supported_state(n_max, spec, seed):
+    """A random unit datum of radius n_max that spec's truncation admits."""
+    return random_state(spec.truncation or n_max, seed=seed).pad_to(n_max)
 
 
 small_state = st.integers(min_value=0, max_value=4).flatmap(
@@ -241,6 +264,52 @@ class TestIntegrate:
         tr = integrate(u0, 0.0, IntegratorSpec(dt=1e-3), FULL)
         assert len(tr) == 1 and np.array_equal(tr[0].coeffs, u0.coeffs)
 
+    def test_numeric_failure_step_index_in_batch(self):
+        bad, good = random_state(2, seed=1, norm=9.0), random_state(2, seed=2)
+        spec = IntegratorSpec(Scheme.EXP_RK4, 1e-2)
+        with pytest.raises(NumericFailure) as alone:
+            integrate(bad, 1.0, spec, FULL)
+        assert alone.value.step_index > 0  # the row survives its first step
+        for rows in ([bad, good], [good, bad, good]):
+            with pytest.raises(NumericFailure) as batch:
+                integrate_batch(np.stack([u.coeffs for u in rows]), 1.0, spec, FULL)
+            assert batch.value.step_index == alone.value.step_index
+
+    def test_batch_truncation_support_enforced(self):
+        good, bad = random_state(4, seed=2).pad_to(8), random_state(8, seed=3)
+        spec = IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=4)
+        with pytest.raises(ValueError):
+            integrate(bad, 0.01, spec, FULL)
+        for T in (0.0, 0.01):
+            with pytest.raises(ValueError, match="supported"):
+                integrate_batch(np.stack([good.coeffs, bad.coeffs]), T, spec, FULL)
+
+    @pytest.mark.parametrize("data, T, stride", [
+        (np.zeros((2, 5)), 0.105, 1),  # T not a multiple of dt
+        (np.zeros((2, 5)), 0.1, 3),  # stride does not divide the steps
+        (np.zeros((2, 5)), 0.1, 0),
+        (np.zeros((2, 4)), 0.1, 1),  # even width
+        (np.zeros(5), 0.1, 1),  # one row is not a batch
+        (np.zeros((0, 5)), 0.1, 1),
+        (np.full((2, 5), np.nan), 0.1, 1),
+    ])
+    def test_batch_argument_checks(self, data, T, stride):
+        with pytest.raises(ValueError):
+            integrate_batch(data, T, IntegratorSpec(dt=1e-2), FULL, stride)
+
+    @pytest.mark.parametrize("n_max", [5, 8, 16])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_batch_matches_loop(self, case, batch, n_max):
+        spec, kind = KERNEL_CASES[case]
+        rows = [supported_state(n_max, spec, seed) for seed in range(batch)]
+        out = integrate_batch(np.stack([u.coeffs for u in rows]), 6e-3, spec, kind, 2)
+        assert not out.flags.writeable
+        for b, u in enumerate(rows):
+            tr = integrate(u, 6e-3, spec, kind, 2)
+            assert out.shape == (len(tr), batch, 2 * tr.n_max + 1)
+            assert np.array_equal(out[:, b].view(np.float64), tr.coeffs.view(np.float64))
+
     def test_strang_radius_independent_of_T(self):
         u0 = FourierState.from_modes(6, {1: 0.5, 5: 0.3})
         spec = IntegratorSpec(Scheme.STRANG, 1e-3)
@@ -274,18 +343,15 @@ class TestStep:
         out = step(u0, IntegratorSpec(Scheme.STRANG, 1e-3), FULL)
         assert out.n_max == 5
 
-    @pytest.mark.parametrize("spec", [
-        IntegratorSpec(Scheme.EXP_RK4, 1e-3),
-        IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=5),
-        IntegratorSpec(Scheme.STRANG, 1e-3),
-    ], ids=["None", "5", "strang"])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
     @pytest.mark.parametrize("k", [1, 7])
-    def test_single_step_matches_integrate(self, k, spec):
+    def test_single_step_matches_integrate(self, k, case):
+        spec, kind = KERNEL_CASES[case]
         u0 = random_state(5, seed=6)
-        u = integrate(u0, 0.0, spec, FULL)[-1]  # the datum, lifted under STRANG
+        u = integrate(u0, 0.0, spec, kind)[-1]  # the datum, lifted under STRANG
         for _ in range(k):
-            u = step(u, spec, FULL)
-        tr = integrate(u0, k * 1e-3, spec, FULL, 1)
+            u = step(u, spec, kind)
+        tr = integrate(u0, k * 1e-3, spec, kind, 1)
         assert np.array_equal(u.coeffs, tr.states[-1].coeffs)
 
     def test_repeated_strang_steps_conserve_mass(self):
