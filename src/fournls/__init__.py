@@ -11,6 +11,7 @@ from .spectrum import (
     hs_norm,
     load_state,
     load_trajectory,
+    mass,
     project_dyadic,
     project_leq,
     save_state,
@@ -49,7 +50,6 @@ from .diagnostics import (
     SpaceTimeField,
     dyadic_gap_profile,
     hamiltonian,
-    mass,
     modulus_rate,
     smoothing_gap,
     symplectic_form,

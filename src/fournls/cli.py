@@ -244,9 +244,8 @@ def _cmd_simulate(cfg: RunConfig) -> str:
                      EquationKind(Kind(v["equation"]), v["mu"]), v["stride"])
     path = _out(cfg, v["out"])
     save_trajectory(traj, path)
-    final = traj[-1]
     return (f"simulate: {v['equation']} n_max={v['n_max']} T={v['T']} "
-            f"steps={round(v['T']/v['dt'])} mass={diagnostics.mass(final):.6e} -> {path}")
+            f"steps={round(v['T']/v['dt'])} mass={diagnostics.mass(traj[-1]):.6e} -> {path}")
 
 
 def _cmd_gauge_check(cfg: RunConfig) -> str:

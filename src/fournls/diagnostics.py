@@ -21,28 +21,27 @@ from .spectrum import (
     FourierState,
     Trajectory,
     blocks_covering,
+    mass,
     padded_grid_size,
-    synthesize,
+    to_grid,
 )
 
 
-def mass(u: FourierState) -> float:
-    """sum_n |c_n|^2 (equals (1/2pi) int |u|^2 dx under our convention)."""
-    return float(np.sum(np.abs(u.coeffs) ** 2))
-
-
-def hamiltonian(u: FourierState, mu_sign: int = 1) -> float:
-    """E(u) = sum n^4 |c_n|^2 - (mu/2) sum_{n1-n2+n3-n4=0} c1 conj(c2) c3 conj(c4).
+def hamiltonian(u, mu_sign: int = 1):
+    """E(u) = sum n^4 |c_n|^2 - (mu/2) sum_{n1-n2+n3-n4=0} c1 conj(c2) c3 conj(c4)
+    of one FourierState (a float) or of each row of (..., 2*n_max+1) amplitudes.
 
     The quartic sum equals (1/2pi) int |u|^4 dx and is evaluated alias-free
-    on a padded grid. E is conserved by both exact flows and by the
-    truncated flow (which is Hamiltonian on the projected space).
+    on a padded grid along the last axis. E is conserved by both exact flows
+    and by the truncated flow (which is Hamiltonian on the projected space).
     """
-    n4 = u.modes.astype(np.float64) ** 4
-    quadratic = float(np.sum(n4 * np.abs(u.coeffs) ** 2))
-    m = padded_grid_size(u.n_max)
-    grid = synthesize(u, m)
-    quartic = float(np.sum(np.abs(grid) ** 4) / m)
+    if isinstance(u, FourierState):
+        return float(hamiltonian(u.coeffs, mu_sign))
+    n_max = (u.shape[-1] - 1) // 2
+    ns = np.arange(-n_max, n_max + 1)
+    m = padded_grid_size(n_max)
+    quadratic = np.sum(ns.astype(np.float64) ** 4 * np.abs(u) ** 2, axis=-1)
+    quartic = np.sum(np.abs(to_grid(u, m, ns % m) * m) ** 4, axis=-1) / m
     return quadratic - 0.5 * mu_sign * quartic
 
 
@@ -82,9 +81,8 @@ def modulus_rate(u: FourierState, mu_sign: int = 1) -> np.ndarray:
     non-resonant sum S_n contributes; it holds for both equations.
     """
     c = u.coeffs
-    m0 = np.sum(np.abs(c) ** 2)
     conv = cubic_convolution(u, u, u).coeffs
-    s_n = conv - 2.0 * m0 * c + np.abs(c) ** 2 * c
+    s_n = conv - 2.0 * mass(c) * c + np.abs(c) ** 2 * c
     return 2.0 * mu_sign * np.imag(s_n * np.conj(c))
 
 
@@ -214,16 +212,9 @@ def nonresonant_output_xnorm(u1: ModeField, u2: ModeField, u3: ModeField,
     return float(np.sqrt(total))
 
 
-def _block_frequencies(block) -> list:
-    out = []
-    for lo, hi in block.index_set:
-        out.extend(range(lo, hi + 1))
-    return out
-
-
 def _random_block_field(rng: np.random.Generator, block, modes_per_block: int,
                         offsets_per_mode: int) -> ModeField:
-    freqs = _block_frequencies(block)
+    freqs = [n for lo, hi in block.index_set for n in range(lo, hi + 1)]
     take = min(modes_per_block, len(freqs))
     chosen = rng.choice(len(freqs), size=take, replace=False)
     atoms = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft
 
-from .spectrum import (FourierState, Trajectory, odd_padded_grid_size,
+from .spectrum import (FourierState, Trajectory, mass, odd_padded_grid_size,
                        padded_grid_size, to_grid)
 
 
@@ -118,8 +118,7 @@ def cubic_convolution(u: FourierState, v: FourierState, w: FourierState) -> Four
 def nonlinearity_resonant(u: FourierState) -> FourierState:
     """Resonant part: N_R(u)(n) = i |c_n|^2 c_n - 2i (sum_k |c_k|^2) c_n."""
     c = u.coeffs
-    mass = np.sum(np.abs(c) ** 2)
-    return u.with_coeffs(1j * np.abs(c) ** 2 * c - 2j * mass * c)
+    return u.with_coeffs(1j * np.abs(c) ** 2 * c - 2j * mass(c) * c)
 
 
 def nonlinearity_nonresonant(u: FourierState) -> FourierState:
@@ -142,8 +141,7 @@ def _nonlinear_rhs_raw(c: np.ndarray, kind: EquationKind, m, idx) -> np.ndarray:
     if kind.kind is Kind.FULL_4NLS:
         return -1j * kind.mu * conv
     # wick: resonant self-phase kept, mass shift removed from the convolution
-    mass = np.sum(np.abs(c) ** 2, axis=-1, keepdims=True)
-    return kind.mu * (-1j * conv + 2j * mass * c)
+    return kind.mu * (-1j * conv + 2j * mass(c)[..., None] * c)
 
 
 def rhs(u: FourierState, kind: EquationKind, truncation: int | None = None) -> FourierState:
@@ -192,8 +190,7 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
                 grid = to_grid(c, m, idx) * m
                 phase = -kind.mu * np.abs(grid) ** 2 * dt
                 if kind.kind is Kind.WICK_4WNLS:
-                    mass = np.sum(np.abs(c) ** 2, axis=-1, keepdims=True)
-                    phase = phase + 2.0 * kind.mu * mass * dt
+                    phase = phase + 2.0 * kind.mu * mass(c)[..., None] * dt
                 c = (fft(grid * np.exp(1j * phase)) / m).take(idx, axis=-1)
             return e_half * c
 
@@ -326,5 +323,4 @@ def exact_resonant_flow(u0: FourierState, t: float, mu: int = 1) -> FourierState
     c_n(t) = exp(i mu t (|c_n(0)|^2 - 2 M0)) c_n(0) with M0 the mass.
     """
     c = u0.coeffs
-    mass0 = np.sum(np.abs(c) ** 2)
-    return u0.with_coeffs(np.exp(1j * mu * t * (np.abs(c) ** 2 - 2.0 * mass0)) * c)
+    return u0.with_coeffs(np.exp(1j * mu * t * (np.abs(c) ** 2 - 2.0 * mass(c))) * c)

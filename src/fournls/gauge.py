@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import EquationKind, IntegratorSpec, Kind, integrate
-from .spectrum import FourierState
+from .spectrum import FourierState, mass
 
 
 def gauge_apply(u: FourierState, t: float, mass0: float, mu_sign: int = 1) -> FourierState:
@@ -58,7 +58,7 @@ def gauge_equivalence_check(u0: FourierState, T: float, dt: float,
         spec = IntegratorSpec(dt=dt)
     elif spec.dt != dt:
         spec = IntegratorSpec(spec.scheme, dt, spec.truncation)
-    mass0 = float(np.sum(np.abs(u0.coeffs) ** 2))
+    mass0 = mass(u0)
     traj_u = integrate(u0, T, spec, EquationKind(Kind.FULL_4NLS, mu_sign), sample_stride)
     traj_v = integrate(u0, T, spec, EquationKind(Kind.WICK_4WNLS, mu_sign), sample_stride)
     times = traj_u.times

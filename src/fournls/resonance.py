@@ -29,16 +29,18 @@ class ResonanceQuadruple:
     n1: int
     n2: int
     n3: int
-    n: int
-    h: int
 
     def __post_init__(self):
-        if self.n != self.n1 - self.n2 + self.n3:
-            raise ValueError("n must equal n1 - n2 + n3")
-        if self.h != h_value(self.n1, self.n2, self.n3):
-            raise ValueError("h does not match the quartic phase mismatch")
         if self.n1 == self.n2 or self.n2 == self.n3:
             raise ValueError("trivially resonant triple (n1=n2 or n2=n3)")
+
+    @property
+    def n(self) -> int:
+        return self.n1 - self.n2 + self.n3
+
+    @property
+    def h(self) -> int:
+        return h_value(self.n1, self.n2, self.n3)
 
 
 def h_value(n1: int, n2: int, n3: int) -> int:
@@ -70,8 +72,7 @@ def enumerate_nonresonant(n: int, n_max: int) -> list[ResonanceQuadruple]:
     (n1, n2); n3 is then determined. Fields are Python integers.
     """
     n1, n2, n3 = (a.tolist() for a in _nonresonant(n, n_max))
-    return [ResonanceQuadruple(a, b, c, n, h_value(a, b, c))
-            for a, b, c in zip(n1, n2, n3)]
+    return [ResonanceQuadruple(a, b, c) for a, b, c in zip(n1, n2, n3)]
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,12 @@ class ModifiedPhase:
 
     def mu_array(self, n_max: int) -> np.ndarray:
         """mu(n) for n = -n_max..n_max; requires n_max <= reference n_max."""
-        return np.array([self.mu(n) for n in range(-n_max, n_max + 1)])
+        self.weight(n_max)  # raises ValueError beyond the reference support
+        ref = self.reference
+        c0 = ref.coeffs[ref.n_max - n_max : ref.n_max + n_max + 1]
+        # hypot and pow are the libm calls of weight's abs(c)**2: entry n is mu(n) bit for bit
+        weights = np.float_power(np.hypot(c0.real, c0.imag), 2)
+        return np.arange(-n_max, n_max + 1, dtype=np.float64) ** 4 + weights
 
 
 def g_value(n1: int, n2: int, n3: int, phase: ModifiedPhase) -> float:

@@ -250,6 +250,14 @@ def hs_norm(state: FourierState, s: float) -> float:
     return float(math.sqrt(np.sum(w * np.abs(state.coeffs) ** 2)))
 
 
+def mass(u):
+    """sum_n |c_n|^2 = (1/2pi) int |u|^2 dx of one FourierState (a float)
+    or of each amplitude row of an array of shape (..., 2*n_max+1)."""
+    if isinstance(u, FourierState):
+        return float(mass(u.coeffs))
+    return np.sum(np.abs(u) ** 2, axis=-1)
+
+
 def _pairs(coeffs: np.ndarray) -> list:
     """[re, im] float pairs; json writes each float as its shortest
     round-trip repr, so files are bit-exact."""

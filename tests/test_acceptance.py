@@ -88,7 +88,7 @@ def test_criterion_03_plane_wave_exactness():
         for mu in (1, -1):
             tr = integrate(u0, 1.0, spec, EquationKind(kind, mu), 1000)
             exact = A * np.exp(1j * (n0**4 + sign * mu * abs(A) ** 2))
-            assert abs(tr.states[-1].mode(n0) - exact) <= 1e-8
+            assert abs(tr[-1].mode(n0) - exact) <= 1e-8
     assert time.perf_counter() - t_start < 1.0
 
 
@@ -119,7 +119,7 @@ def test_criterion_05_conservation_order():
     for dt in (2.5e-5, 1.25e-5):
         tr = integrate(u0, 1.0, IntegratorSpec(Scheme.EXP_RK4, dt, truncation=16),
                        FULL, round(1.0 / dt))
-        uT = tr.states[-1]
+        uT = tr[-1]
         drifts[dt] = (
             abs(mass(uT) - mass(u0)) / mass(u0),
             abs(hamiltonian(uT) - hamiltonian(u0)) / abs(hamiltonian(u0)),
@@ -130,7 +130,7 @@ def test_criterion_05_conservation_order():
     assert 8.0 <= ham_ratio <= 32.0, f"hamiltonian ratio {ham_ratio:.2f}"
 
     tr = integrate(u0, 1.0, IntegratorSpec(Scheme.STRANG, 1e-3), FULL, 1000)
-    strang_drift = abs(mass(tr.states[-1]) - mass(u0))
+    strang_drift = abs(mass(tr[-1]) - mass(u0))
     assert strang_drift <= 1e-12, f"strang mass drift {strang_drift:.3e}"
 
 
@@ -216,7 +216,7 @@ def test_criterion_11_norm_estimator():
     tr = integrate(u0, 0.32, IntegratorSpec(Scheme.EXP_RK4, 1e-2), FULL, 1)
     field = SpaceTimeField(tr, "rect")
     val = ysb_norm(field, 0.0, 0.0)
-    parseval = np.linalg.norm(tr.coeff_array())
+    parseval = np.linalg.norm(tr.coeffs)
     assert abs(val - parseval) <= 1e-10
 
     # modified-linear concentration: c_{n0} e^{it mu(n0)}, rectangular

@@ -124,7 +124,7 @@ class TestSimulate:
         assert rc == 0 and out.exists()
         tr = load_trajectory(out)
         exact = np.exp(1j * 0.1 * (2**4 - 1.0))  # full equation, |A| = 1
-        assert abs(tr.states[-1].mode(2) - exact) < 1e-8
+        assert abs(tr[-1].mode(2) - exact) < 1e-8
 
     def test_state_input(self, tmp_path):
         sp = tmp_path / "s.json"
@@ -133,7 +133,7 @@ class TestSimulate:
                   "--T", "0.01", "--out-dir", tmp_path, "--out", "t.jsonl"])
         assert rc == 0
         tr = load_trajectory(tmp_path / "t.jsonl")
-        assert abs(abs(tr.states[-1].mode(1)) - 0.5) < 1e-10
+        assert abs(abs(tr[-1].mode(1)) - 0.5) < 1e-10
 
     def test_missing_required_exits_1(self, tmp_path, capsys):
         rc = run(["simulate", "--n-max", 4, "--out-dir", tmp_path])

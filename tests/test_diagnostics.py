@@ -17,10 +17,14 @@ from fournls.diagnostics import (
 )
 from fournls.dynamics import (
     FULL,
+    WICK,
+    EquationKind,
     IntegratorSpec,
+    Kind,
     Scheme,
     exact_resonant_flow,
     integrate,
+    integrate_batch,
     step,
 )
 from fournls.resonance import ModifiedPhase
@@ -64,8 +68,30 @@ class TestMassHamiltonian:
         u0 = random_state(8, seed=4)
         tr = integrate(u0, 0.01, IntegratorSpec(Scheme.EXP_RK4, 1e-5, truncation=8),
                        FULL, 1000)
-        h = [hamiltonian(s) for s in tr.states]
+        h = hamiltonian(tr.coeffs)
         assert abs(h[-1] - h[0]) < 1e-9
+
+    def test_one_state_gives_a_float(self):
+        u = random_state(5, seed=6)
+        assert type(mass(u)) is float and type(hamiltonian(u, -1)) is float
+        assert mass(u) == mass(u.coeffs) and hamiltonian(u, -1) == hamiltonian(u.coeffs, -1)
+
+    @pytest.mark.parametrize("scheme", [Scheme.EXP_RK4, Scheme.STRANG])
+    @pytest.mark.parametrize("kind", [FULL, WICK, EquationKind(Kind.FULL_4NLS, -1)],
+                             ids=["full", "wick", "mu-1"])
+    def test_rows_equal_per_state_loop(self, scheme, kind):
+        spec = IntegratorSpec(scheme, 1e-3)
+        data = np.stack([random_state(16, seed=k).coeffs for k in range(3)])
+        traj = integrate(FourierState(16, data[0]), 0.01, spec, kind)
+        batch = integrate_batch(data, 0.01, spec, kind)  # (samples, B, 2N+1)
+        for rows in (traj.coeffs, batch):
+            n_max = (rows.shape[-1] - 1) // 2
+            states = [FourierState(n_max, r) for r in rows.reshape(-1, rows.shape[-1])]
+            for f in (mass, lambda u: hamiltonian(u, kind.mu)):
+                got = f(rows)
+                expected = np.array([f(s) for s in states]).reshape(rows.shape[:-1])
+                assert got.shape == rows.shape[:-1]
+                assert np.array_equal(got.view(np.float64), expected.view(np.float64))
 
 
 class TestSymplecticForm:
@@ -139,7 +165,7 @@ class TestDyadicGapProfile:
     def test_direct_summation_oracle(self):
         tr = self._traj()
         prof = dyadic_gap_profile(tr, 0.75)
-        arr = np.abs(tr.coeff_array()) ** 2
+        arr = np.abs(tr.coeffs) ** 2
         gap = np.abs(arr - arr[0])
         for block in blocks_covering(tr.n_max):
             expected = np.zeros(len(tr))
@@ -177,14 +203,14 @@ class TestYsbNorm:
         field = SpaceTimeField(tr, "cosine")
         val = ysb_norm(field, 0.0, 0.0)
         # unitary time-DFT: b=0, s=0 equals the l2 norm of the tapered samples
-        arr = tr.coeff_array() * field.taper[:, None]
+        arr = tr.coeffs * field.taper[:, None]
         assert np.isclose(val, np.linalg.norm(arr), rtol=1e-10)
 
     def test_rectangular_window_b0(self):
         tr = self._traj()
         field = SpaceTimeField(tr, "rect")
         assert np.isclose(ysb_norm(field, 0.0, 0.0),
-                          np.linalg.norm(tr.coeff_array()), rtol=1e-12)
+                          np.linalg.norm(tr.coeffs), rtol=1e-12)
 
     def test_linear_solution_concentrates_plain_phase(self):
         # c_{n0} e^{it n0^4}: in the plain interaction picture this is DC,

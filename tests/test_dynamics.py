@@ -20,7 +20,7 @@ from fournls.dynamics import (
     rhs,
     step,
 )
-from fournls.spectrum import FourierState
+from fournls.spectrum import FourierState, mass
 
 
 def cubic_convolution_direct(u, v, w):
@@ -160,7 +160,7 @@ class TestPlaneWaves:
         tr = integrate(u0, T, IntegratorSpec(scheme, dt), EquationKind(kind, mu),
                        round(T / dt))
         exact = A * np.exp(1j * T * (n0**4 + sign * mu * abs(A) ** 2))
-        final = tr.states[-1]
+        final = tr[-1]
         assert abs(final.mode(n0) - exact) < 1e-8
         # all other modes stay empty
         off = sum(abs(final.mode(n)) for n in range(-final.n_max, final.n_max + 1)
@@ -187,28 +187,28 @@ class TestIntegrate:
     def test_time_reversal_exp_rk4(self):
         u0 = random_state(6, seed=9)
         fwd = integrate(u0, 0.05, IntegratorSpec(Scheme.EXP_RK4, 1e-3), FULL, 50)
-        back = integrate(fwd.states[-1], -0.05,
+        back = integrate(fwd[-1], -0.05,
                          IntegratorSpec(Scheme.EXP_RK4, -1e-3), FULL, 50)
         # reversal error is the scheme's own O(dt^4) error, not roundoff
-        assert np.max(np.abs(back.states[-1].coeffs - u0.coeffs)) < 1e-6
+        assert np.max(np.abs(back[-1].coeffs - u0.coeffs)) < 1e-6
 
     def test_time_reversal_strang(self):
         u0 = random_state(6, seed=9)
         fwd = integrate(u0, 0.05, IntegratorSpec(Scheme.STRANG, 1e-3), FULL, 50)
-        back = integrate(fwd.states[-1], -0.05,
+        back = integrate(fwd[-1], -0.05,
                          IntegratorSpec(Scheme.STRANG, -1e-3), FULL, 50)
         # substeps are invertible phases, but the second lift changes the
         # collocation grid, so reversal is only scheme-accurate (O(dt^2))
-        assert np.max(np.abs(back.states[-1].truncate_to(6).coeffs - u0.coeffs)) < 2e-4
+        assert np.max(np.abs(back[-1].truncate_to(6).coeffs - u0.coeffs)) < 2e-4
 
     def test_order_of_accuracy_exp_rk4(self):
         u0 = random_state(6, seed=10)
         ref = integrate(u0, 0.02, IntegratorSpec(Scheme.EXP_RK4, 1.25e-5), FULL,
-                        1600).states[-1]
+                        1600)[-1]
         errs = []
         for dt in (2e-4, 1e-4):
             got = integrate(u0, 0.02, IntegratorSpec(Scheme.EXP_RK4, dt), FULL,
-                            round(0.02 / dt)).states[-1]
+                            round(0.02 / dt))[-1]
             errs.append(np.linalg.norm(got.coeffs - ref.coeffs))
         ratio = errs[0] / errs[1]
         assert 10.0 < ratio < 26.0  # fourth order: 16 expected
@@ -216,11 +216,11 @@ class TestIntegrate:
     def test_order_of_accuracy_strang(self):
         u0 = random_state(4, seed=10)
         ref = integrate(u0, 0.02, IntegratorSpec(Scheme.STRANG, 1.25e-6), FULL,
-                        16000).states[-1]
+                        16000)[-1]
         errs = []
         for dt in (2e-4, 1e-4):
             got = integrate(u0, 0.02, IntegratorSpec(Scheme.STRANG, dt), FULL,
-                            round(0.02 / dt)).states[-1]
+                            round(0.02 / dt))[-1]
             errs.append(np.linalg.norm(got.coeffs - ref.coeffs))
         ratio = errs[0] / errs[1]
         assert 3.0 < ratio < 5.5  # second order: 4 expected
@@ -228,14 +228,14 @@ class TestIntegrate:
     def test_strang_mass_exact(self):
         u0 = random_state(8, seed=3)
         tr = integrate(u0, 0.5, IntegratorSpec(Scheme.STRANG, 1e-3), FULL, 500)
-        m = [float(np.sum(np.abs(s.coeffs) ** 2)) for s in tr.states]
+        m = mass(tr.coeffs)
         assert abs(m[-1] - m[0]) < 1e-13
 
     def test_truncated_flow_stays_supported(self):
         u0 = random_state(4, seed=2).pad_to(8)
         tr = integrate(u0, 0.01, IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=4),
                        FULL, 10)
-        final = tr.states[-1]
+        final = tr[-1]
         assert np.all(final.coeffs[np.abs(final.modes) > 4] == 0.0)
 
     def test_truncation_support_enforced(self):
@@ -352,7 +352,7 @@ class TestStep:
         for _ in range(k):
             u = step(u, spec, kind)
         tr = integrate(u0, k * 1e-3, spec, kind, 1)
-        assert np.array_equal(u.coeffs, tr.states[-1].coeffs)
+        assert np.array_equal(u.coeffs, tr[-1].coeffs)
 
     def test_repeated_strang_steps_conserve_mass(self):
         u0 = random_state(6, seed=6)
@@ -360,4 +360,4 @@ class TestStep:
         u = u0
         for _ in range(200):
             u = step(u, spec, FULL)
-        assert abs(np.sum(np.abs(u.coeffs) ** 2) - 1.0) <= 1e-12
+        assert abs(mass(u) - 1.0) <= 1e-12

@@ -259,8 +259,7 @@ class TestFileFormats:
         save_trajectory(tr, p)
         back = load_trajectory(p)
         assert back.dt == tr.dt and back.t0 == tr.t0 and len(back) == len(tr)
-        for a, b in zip(back.states, tr.states):
-            assert np.array_equal(a.coeffs, b.coeffs)
+        assert np.array_equal(back.coeffs, tr.coeffs)
 
     def test_trajectory_corrupt_record_named(self, tmp_path):
         tr = Trajectory(0.0, 1e-3, [random_state(2, seed=k).coeffs for k in range(3)])
