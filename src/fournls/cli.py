@@ -97,7 +97,6 @@ _SCHEMAS = {
         "T": (float, None, POSITIVE),
         "scheme": (str, "exp_rk4", _choices(Scheme)),
         "stride": (int, 1, POSITIVE),
-        "truncation": (int, 0, NONNEG),  # 0 = untruncated
         **_PROFILE_KEYS,
         "state": (str, "", None),
         "out": (str, "trajectory.jsonl", None),
@@ -239,7 +238,7 @@ def _emit_report(cfg: RunConfig, report: experiments.ExperimentReport,
 def _cmd_simulate(cfg: RunConfig) -> str:
     v = cfg.values
     u0 = _initial_state(v, v["n_max"])
-    spec = IntegratorSpec(Scheme(v["scheme"]), v["dt"], v["truncation"] or None)
+    spec = IntegratorSpec(Scheme(v["scheme"]), v["dt"])
     traj = integrate(u0, v["T"], spec,
                      EquationKind(Kind(v["equation"]), v["mu"]), v["stride"])
     path = _out(cfg, v["out"])
@@ -346,8 +345,15 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors: main reports them with exit code 1."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="4nls", description=__doc__)
+    parser = _Parser(prog="4nls", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, schema in _SCHEMAS.items():
         sp = sub.add_parser(name)

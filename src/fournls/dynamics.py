@@ -61,27 +61,21 @@ class Scheme(enum.Enum):
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    """Time integrator: scheme, step size and optional Galerkin truncation.
+    """Time integrator: scheme and step size.
 
-    A truncation radius selects the finite-dimensional flow with the
-    nonlinearity projected to |n| <= truncation; only EXP_RK4 integrates
-    that projected system exactly as written, so STRANG rejects it.
+    EXP_RK4 integrates the Galerkin system on the datum's own modes: the
+    nonlinearity is projected to |n| <= N for a datum of radius N, so the
+    truncated flow u_N is integrate on a datum of radius N. STRANG lifts
+    the datum to an alias-safe collocation grid and evolves it there.
     Negative dt integrates backwards in time.
     """
 
     scheme: Scheme = Scheme.EXP_RK4
     dt: float = 1e-3
-    truncation: int | None = None
 
     def __post_init__(self):
         if self.dt == 0.0 or not math.isfinite(self.dt):
             raise ValueError("dt must be a nonzero finite number")
-        if self.truncation is not None and self.truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-        if self.truncation is not None and self.scheme is Scheme.STRANG:
-            raise ValueError(
-                "STRANG is not the truncated-flow semigroup; use EXP_RK4"
-            )
 
 
 def _conv_plan(n_max: int) -> tuple:
@@ -144,35 +138,19 @@ def _nonlinear_rhs_raw(c: np.ndarray, kind: EquationKind, m, idx) -> np.ndarray:
     return kind.mu * (-1j * conv + 2j * mass(c)[..., None] * c)
 
 
-def rhs(u: FourierState, kind: EquationKind, truncation: int | None = None) -> FourierState:
-    """Full time derivative dc/dt, optionally with projected nonlinearity."""
+def rhs(u: FourierState, kind: EquationKind) -> FourierState:
+    """Full time derivative dc/dt of the Galerkin system at u's radius."""
     n4 = u.modes.astype(np.float64) ** 4
-    if truncation is not None:
-        _check_support(u.coeffs, truncation)
     nl = _nonlinear_rhs_raw(u.coeffs, kind, *_conv_plan(u.n_max))
-    if truncation is not None:
-        nl = np.where(np.abs(u.modes) <= truncation, nl, 0.0)
     return u.with_coeffs(1j * n4 * u.coeffs + nl)
-
-
-def _check_support(c: np.ndarray, truncation: int) -> None:
-    """Every amplitude row c[..., :] vanishes outside |n| <= truncation."""
-    n_max = (c.shape[-1] - 1) // 2
-    if truncation > n_max:
-        raise ValueError("truncation exceeds state n_max")
-    outside = np.abs(np.arange(-n_max, n_max + 1)) > truncation
-    if np.any(c[..., outside] != 0.0):
-        raise ValueError(
-            f"truncated run requires data supported in |n| <= {truncation}"
-        )
 
 
 def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
     """Raw-array one-step map c -> c(dt) for amplitude rows of shape
     (..., 2*n_max+1), n = -n_max..n_max; each row steps independently.
 
-    The phases e^{i dt n^4/2}, the FFT layout and the truncation mask are
-    built once here, so a run pays for them once rather than every step.
+    The phases e^{i dt n^4/2} and the FFT layout are built once here, so
+    a run pays for them once rather than every step.
     EXP_RK4 is Lawson (interaction-picture) RK4: the linear phase is exact.
     STRANG treats 2*n_max+1 as its collocation grid (integrate lifts the
     state first) and every substep is unitary.
@@ -199,14 +177,9 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
     e_full = e_half * e_half
     back_half, back_full = np.conj(e_half), np.conj(e_full)
     m, idx = _conv_plan(n_max)
-    if spec.truncation is None:
-        def nl(c):
-            return _nonlinear_rhs_raw(c, kind, m, idx)
-    else:
-        keep = np.abs(modes) <= spec.truncation
 
-        def nl(c):
-            return np.where(keep, _nonlinear_rhs_raw(c, kind, m, idx), 0.0)
+    def nl(c):
+        return _nonlinear_rhs_raw(c, kind, m, idx)
 
     def rk4(c0):
         k1 = nl(c0)
@@ -225,11 +198,8 @@ def _run(c0: np.ndarray, k: int, spec: IntegratorSpec, kind: EquationKind,
     (k // sample_stride + 1, ..., 2N+1) array, starting with the datum.
     A single trajectory is the 1-D case.
 
-    Raises ValueError for a truncation some row does not satisfy and
-    NumericFailure(i) when step i leaves a non-finite amplitude in any row.
+    Raises NumericFailure(i) when step i leaves any row non-finite.
     """
-    if spec.truncation is not None:
-        _check_support(c0, spec.truncation)
     advance = _stepper((c0.shape[-1] - 1) // 2, spec, kind)
     samples = np.empty((k // sample_stride + 1,) + c0.shape, dtype=np.complex128)
     samples[0] = c = c0
@@ -246,7 +216,7 @@ def _run(c0: np.ndarray, k: int, spec: IntegratorSpec, kind: EquationKind,
 def _prepare(c0: np.ndarray, T: float, spec: IntegratorSpec,
              sample_stride: int) -> tuple[np.ndarray, int]:
     """integrate's argument checks: the datum rows (lifted under STRANG)
-    and the step count k. The truncation support is checked by _run."""
+    and the step count k."""
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     k_float = T / spec.dt
@@ -298,12 +268,11 @@ def integrate_batch(data, T: float, spec: IntegratorSpec, kind: EquationKind,
     """Integrate B data at once: the rows of data, shape (B, 2*n_max+1),
     are amplitudes c_n, |n| <= n_max, as in FourierState.coeffs.
 
-    Takes integrate's arguments and checks (the truncation support must hold
-    for every row) and returns a read-only (samples, B, 2*n_max+1) array
-    whose column [:, b] equals integrate's trajectory of row b bit for bit,
-    n_max enlarged under STRANG as there. The rows step together through
-    the same kernel, so NumericFailure(i) names the first step after which
-    any row has a non-finite amplitude.
+    Takes integrate's arguments and checks and returns a read-only
+    (samples, B, 2*n_max+1) array whose column [:, b] equals integrate's
+    trajectory of row b bit for bit, n_max enlarged under STRANG as there.
+    The rows step together through the same kernel, so NumericFailure(i)
+    names the first step after which any row has a non-finite amplitude.
     """
     c = np.ascontiguousarray(data, dtype=np.complex128)
     if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] % 2 == 0:

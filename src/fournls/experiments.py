@@ -147,18 +147,15 @@ def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
     if ref_factor < 2:
         raise ValueError("ref_factor must be >= 2")
     eq = EquationKind(kind, mu_sign)
+    spec = IntegratorSpec(Scheme.EXP_RK4, dt)
     base = profile.build(ladder[-1])
     steps = round(T / dt)
     stride = _choose_stride(steps)
 
     def one(n: int):
         datum = base.truncate_to(n)
-        ref_datum = datum.pad_to(ref_factor * n)
-        tr = integrate(datum, T, IntegratorSpec(Scheme.EXP_RK4, dt, truncation=n),
-                       eq, stride)
-        ref = integrate(ref_datum, T,
-                        IntegratorSpec(Scheme.EXP_RK4, dt, truncation=ref_factor * n),
-                        eq, stride)
+        tr = integrate(datum, T, spec, eq, stride)
+        ref = integrate(datum.pad_to(ref_factor * n), T, spec, eq, stride)
         return {"N": n, "error": _low_mode_gap(tr.coeffs, ref.coeffs, math.isqrt(n))}
 
     table = [one(n) for n in ladder]
@@ -207,17 +204,15 @@ def run_perturbation_study(profile: ProfileSpec, n_primes,
     For each N' in the ladder: co-evolve the datum and N'-agreeing
     perturbed data at resolution 2N' as one batch and record the worst
     sampled divergence of the modes |n| <= N' - floor(sqrt(N'))."""
-    if isinstance(n_primes, int):
-        n_primes = [n_primes]
     ladder = [int(n) for n in n_primes]
     eq = EquationKind(kind, mu_sign)
+    spec = IntegratorSpec(Scheme.EXP_RK4, dt)
     steps = round(T / dt)
     stride = _choose_stride(steps)
 
     def one(n_prime: int):
         res = 2 * n_prime
         u0 = profile.build(res)
-        spec = IntegratorSpec(Scheme.EXP_RK4, dt, truncation=res)
         data = [u0.coeffs]
         for trial in range(trials):
             rng = derive_rng(seed, "perturb", n_prime, trial)
@@ -273,7 +268,7 @@ def run_squeeze_probe(u_star: FourierState, R: float, r: float, n0: int,
         raise ValueError("samples must be >= 1")
     eq = EquationKind(kind, mu_sign)
     base = u_star.truncate_to(N)
-    spec = IntegratorSpec(Scheme.EXP_RK4, dt, truncation=N)
+    spec = IntegratorSpec(Scheme.EXP_RK4, dt)
     rho = R - epsilon
     dim = 2 * N + 1
 

@@ -54,10 +54,7 @@ def gauge_equivalence_check(u0: FourierState, T: float, dt: float,
     phase uses the t=0 mass, so the gap also reflects the mass drift of the
     integrator; the aligned gap does not.
     """
-    if spec is None:
-        spec = IntegratorSpec(dt=dt)
-    elif spec.dt != dt:
-        spec = IntegratorSpec(spec.scheme, dt, spec.truncation)
+    spec = IntegratorSpec(dt=dt) if spec is None else IntegratorSpec(spec.scheme, dt)
     mass0 = mass(u0)
     traj_u = integrate(u0, T, spec, EquationKind(Kind.FULL_4NLS, mu_sign), sample_stride)
     traj_v = integrate(u0, T, spec, EquationKind(Kind.WICK_4WNLS, mu_sign), sample_stride)

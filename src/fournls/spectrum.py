@@ -347,8 +347,9 @@ def load_trajectory(path) -> Trajectory:
     for i, ln in enumerate(lines[1:]):
         where = f"{path}: record {i}"
         rec = _json_object(ln, where)
-        if rec.get("k") != i:
-            raise FileFormatError(f"{where} carries index {rec.get('k')!r}")
+        k = rec.get("k")
+        if type(k) is not int or k != i:
+            raise FileFormatError(f"{where} carries index {k!r}")
         row = _decode(rec.get("coeffs"), n_max, where)
         if coeffs is None:  # allocate only once a record confirms the width
             coeffs = np.empty((len(lines) - 1, len(row)), dtype=np.complex128)

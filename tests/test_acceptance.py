@@ -117,7 +117,7 @@ def test_criterion_05_conservation_order():
     u0 = unit_random_state(16, 0)
     drifts = {}
     for dt in (2.5e-5, 1.25e-5):
-        tr = integrate(u0, 1.0, IntegratorSpec(Scheme.EXP_RK4, dt, truncation=16),
+        tr = integrate(u0, 1.0, IntegratorSpec(Scheme.EXP_RK4, dt),
                        FULL, round(1.0 / dt))
         uT = tr[-1]
         drifts[dt] = (

@@ -145,6 +145,26 @@ class TestSimulate:
                   "--amplitude", "1e8", "--out-dir", tmp_path])
         assert rc == 2
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--n-max", 4, "--dt", "1e-3", "--T", "0.01", "--truncation", 0],
+        ["bogus"],
+        ["resonance", "tabel", "--max", 2],
+    ], ids=["removed-flag", "unknown-subcommand", "bad-table-word"])
+    def test_usage_error_exits_1(self, tmp_path, capsys, args):
+        assert run([*args, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith("config error: 4nls")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0 and "--n-max" in capsys.readouterr().out
+
+    def test_truncation_config_key_rejected(self, tmp_path, capsys):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text("[simulate]\nn_max = 4\ndt = 1e-3\nT = 0.01\ntruncation = 0\n")
+        assert run(["simulate", "--config", cfgf, "--out-dir", tmp_path]) == 1
+        assert "unknown key 'truncation' in [simulate]" in capsys.readouterr().err
+
     def test_config_file_run(self, tmp_path):
         cfgf = tmp_path / "c.ini"
         cfgf.write_text(

@@ -66,7 +66,7 @@ class TestMassHamiltonian:
 
     def test_conserved_along_truncated_flow(self):
         u0 = random_state(8, seed=4)
-        tr = integrate(u0, 0.01, IntegratorSpec(Scheme.EXP_RK4, 1e-5, truncation=8),
+        tr = integrate(u0, 0.01, IntegratorSpec(Scheme.EXP_RK4, 1e-5),
                        FULL, 1000)
         h = hamiltonian(tr.coeffs)
         assert abs(h[-1] - h[0]) < 1e-9

@@ -44,26 +44,17 @@ def random_state(n_max, seed=0, norm=1.0):
     return FourierState(n_max, c * (norm / np.linalg.norm(c)))
 
 
-# (spec, kind) per branch of the stepping kernel: scheme, equation, mu and
-# truncation (radius 5). Ids "None", "5" and "strang" name the truncation.
+# (spec, kind) per branch of the stepping kernel: scheme, equation and mu.
 KERNEL_CASES = {
     "None": (IntegratorSpec(Scheme.EXP_RK4, 1e-3), FULL),
-    "5": (IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=5), FULL),
     "strang": (IntegratorSpec(Scheme.STRANG, 1e-3), FULL),
     "wick": (IntegratorSpec(Scheme.EXP_RK4, 1e-3), WICK),
-    "wick-5": (IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=5), WICK),
     "mu-1": (IntegratorSpec(Scheme.EXP_RK4, 1e-3), EquationKind(Kind.FULL_4NLS, -1)),
-    "mu0-5": (IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=5),
-              EquationKind(Kind.FULL_4NLS, 0)),
+    "mu0": (IntegratorSpec(Scheme.EXP_RK4, 1e-3), EquationKind(Kind.FULL_4NLS, 0)),
     "wick-mu-1": (IntegratorSpec(Scheme.EXP_RK4, 1e-3), EquationKind(Kind.WICK_4WNLS, -1)),
     "strang-wick": (IntegratorSpec(Scheme.STRANG, 1e-3), WICK),
     "strang-mu0": (IntegratorSpec(Scheme.STRANG, 1e-3), EquationKind(Kind.FULL_4NLS, 0)),
 }
-
-
-def supported_state(n_max, spec, seed):
-    """A random unit datum of radius n_max that spec's truncation admits."""
-    return random_state(spec.truncation or n_max, seed=seed).pad_to(n_max)
 
 
 small_state = st.integers(min_value=0, max_value=4).flatmap(
@@ -89,10 +80,6 @@ class TestIntegratorSpec:
         with pytest.raises(ValueError):
             IntegratorSpec(dt=float("inf"))
         IntegratorSpec(dt=-1e-3)  # backwards integration is allowed
-
-    def test_strang_rejects_truncation(self):
-        with pytest.raises(ValueError):
-            IntegratorSpec(Scheme.STRANG, 1e-3, truncation=4)
 
 
 class TestCubicConvolution:
@@ -231,28 +218,6 @@ class TestIntegrate:
         m = mass(tr.coeffs)
         assert abs(m[-1] - m[0]) < 1e-13
 
-    def test_truncated_flow_stays_supported(self):
-        u0 = random_state(4, seed=2).pad_to(8)
-        tr = integrate(u0, 0.01, IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=4),
-                       FULL, 10)
-        final = tr[-1]
-        assert np.all(final.coeffs[np.abs(final.modes) > 4] == 0.0)
-
-    def test_truncation_support_enforced(self):
-        sparse = FourierState.from_modes(6, {1: 0.5, 5: 0.3})
-        cases = [
-            (random_state(8, seed=2), 4),  # full support, violates truncation=4
-            (sparse, 2),  # mode 5 outside the truncation
-            (sparse, 9),  # truncation exceeds n_max
-        ]
-        for u0, truncation in cases:
-            spec = IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=truncation)
-            for run in (lambda: integrate(u0, 0.01, spec, FULL),
-                        lambda: integrate(u0, 0.0, spec, FULL),
-                        lambda: step(u0, spec, FULL)):
-                with pytest.raises(ValueError):
-                    run()
-
     def test_numeric_failure_carries_step_index(self):
         u0 = random_state(6, seed=1, norm=1e8)
         with pytest.raises(NumericFailure) as exc:
@@ -275,15 +240,6 @@ class TestIntegrate:
                 integrate_batch(np.stack([u.coeffs for u in rows]), 1.0, spec, FULL)
             assert batch.value.step_index == alone.value.step_index
 
-    def test_batch_truncation_support_enforced(self):
-        good, bad = random_state(4, seed=2).pad_to(8), random_state(8, seed=3)
-        spec = IntegratorSpec(Scheme.EXP_RK4, 1e-3, truncation=4)
-        with pytest.raises(ValueError):
-            integrate(bad, 0.01, spec, FULL)
-        for T in (0.0, 0.01):
-            with pytest.raises(ValueError, match="supported"):
-                integrate_batch(np.stack([good.coeffs, bad.coeffs]), T, spec, FULL)
-
     @pytest.mark.parametrize("data, T, stride", [
         (np.zeros((2, 5)), 0.105, 1),  # T not a multiple of dt
         (np.zeros((2, 5)), 0.1, 3),  # stride does not divide the steps
@@ -302,7 +258,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_batch_matches_loop(self, case, batch, n_max):
         spec, kind = KERNEL_CASES[case]
-        rows = [supported_state(n_max, spec, seed) for seed in range(batch)]
+        rows = [random_state(n_max, seed=seed) for seed in range(batch)]
         out = integrate_batch(np.stack([u.coeffs for u in rows]), 6e-3, spec, kind, 2)
         assert not out.flags.writeable
         for b, u in enumerate(rows):

@@ -292,6 +292,10 @@ class TestFileFormats:
         pytest.param(load_trajectory, [HEADER], id="header-only"),
         pytest.param(load_trajectory, [HEADER, REC0.replace('"k": 0', '"k": 1')],
                      id="index"),
+        pytest.param(load_trajectory, [HEADER, REC0, REC0.replace('"k": 0', '"k": true')],
+                     id="bool-index"),
+        pytest.param(load_trajectory, [HEADER, REC0, REC0.replace('"k": 0', '"k": 1.0')],
+                     id="float-index"),
         pytest.param(load_trajectory, [HEADER, REC0.replace(", [0.0, 0.0]", "")],
                      id="count"),
         pytest.param(load_trajectory, [HEADER, REC0.replace("0.5, -0.5", '"0.5", -0.5')],
