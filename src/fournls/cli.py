@@ -158,9 +158,12 @@ _SCHEMAS = {
 
 def _coerce(key, typ, raw):
     try:
-        return typ(raw)
+        value = typ(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected {typ.__name__}, got {raw!r}") from None
+    if typ is float and not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(subcommand: str, config_path: str | None, flags: dict) -> RunConfig:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, fftfreq
 
-from .dynamics import cubic_convolution
+from .dynamics import nonlinearity_nonresonant
 from .resonance import ModifiedPhase, h_value
 from .spectrum import (
     DyadicBlock,
@@ -75,15 +75,13 @@ def dyadic_gap_profile(traj: Trajectory, s: float) -> dict:
 
 
 def modulus_rate(u: FourierState, mu_sign: int = 1) -> np.ndarray:
-    """d/dt |c_n|^2 along the flow: 2 mu Im[sum_{NR triples} c1 conj(c2) c3 conj(c_n)].
+    """d/dt |c_n|^2 along the flow: 2 mu Re[N_NR(u)(n) conj(c_n)].
 
-    The resonant and linear terms are pure phase rotations, so only the
-    non-resonant sum S_n contributes; it holds for both equations.
+    N_NR is -i times the sum over non-resonant triples. The resonant and
+    linear terms are pure phase rotations, so only it contributes; this
+    holds for both equations.
     """
-    c = u.coeffs
-    conv = cubic_convolution(u, u, u).coeffs
-    s_n = conv - 2.0 * mass(c) * c + np.abs(c) ** 2 * c
-    return 2.0 * mu_sign * np.imag(s_n * np.conj(c))
+    return 2.0 * mu_sign * np.real(nonlinearity_nonresonant(u).coeffs * np.conj(u.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +183,8 @@ class ModeField:
         return float(np.sqrt(total))
 
 
-def nonresonant_output_xnorm(u1: ModeField, u2: ModeField, u3: ModeField,
-                             out_block, b: float = -0.5) -> float:
-    """X^{0,b} norm of the output block of the non-resonant trilinear term.
+def nonresonant_output_xnorm(u1: ModeField, u2: ModeField, u3: ModeField, out_block) -> float:
+    """X^{0,-1/2} norm of the output block of the non-resonant trilinear term.
 
     Enumerates triples exactly: an output atom at frequency n4 = n1-n2+n3
     carries modulation H(n1,n2,n3) + o1 - o2 + o3; atoms landing on the
@@ -208,19 +205,17 @@ def nonresonant_output_xnorm(u1: ModeField, u2: ModeField, u3: ModeField,
                 lam = float(h_value(n1, n2, n3)) + (o1 - o2 + o3)
                 key = (n4, lam)
                 acc[key] = acc.get(key, 0.0j) + (-1j) * a1 * np.conj(a2) * a3
-    total = sum((1.0 + lam * lam) ** b * abs(a) ** 2 for (_, lam), a in acc.items())
+    total = sum((1.0 + lam * lam) ** -0.5 * abs(a) ** 2 for (_, lam), a in acc.items())
     return float(np.sqrt(total))
 
 
-def _random_block_field(rng: np.random.Generator, block, modes_per_block: int,
-                        offsets_per_mode: int) -> ModeField:
+def _random_block_field(rng: np.random.Generator, block) -> ModeField:
     freqs = [n for lo, hi in block.index_set for n in range(lo, hi + 1)]
-    take = min(modes_per_block, len(freqs))
-    chosen = rng.choice(len(freqs), size=take, replace=False)
+    chosen = rng.choice(len(freqs), size=min(6, len(freqs)), replace=False)
     atoms = []
     for i in sorted(chosen):
         n = freqs[i]
-        for _ in range(offsets_per_mode):
+        for _ in range(2):
             offset = float(rng.normal(scale=1.0))
             amp = complex(rng.normal(), rng.normal())
             atoms.append((n, offset, amp))
@@ -247,9 +242,7 @@ class TrilinearRatioStats:
 
 
 def trilinear_ratio(seed: int, n1_level: int, n2_level: int, n3_level: int,
-                    n4_level: int, trials: int, modes_per_block: int = 6,
-                    offsets_per_mode: int = 2,
-                    exponent: float = -0.49) -> TrilinearRatioStats:
+                    n4_level: int, trials: int) -> TrilinearRatioStats:
     """Empirical sampler for the trilinear gain of the non-resonant term.
 
     Per trial draws random dyadically-localized fields u1, u2, u3 and
@@ -263,15 +256,13 @@ def trilinear_ratio(seed: int, n1_level: int, n2_level: int, n3_level: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    exponent = -0.49
     blocks = tuple(DyadicBlock(lv) for lv in (n1_level, n2_level, n3_level, n4_level))
     n_max_level = float(max(n1_level, n2_level, n3_level, n4_level))
     ratios = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-        fields = [
-            _random_block_field(rng, blocks[j], modes_per_block, offsets_per_mode)
-            for j in range(3)
-        ]
+        fields = [_random_block_field(rng, blocks[j]) for j in range(3)]
         lhs = nonresonant_output_xnorm(fields[0], fields[1], fields[2], blocks[3])
         rhs_norm = np.prod([f.x_norm(0.5) for f in fields])
         scale = n_max_level**exponent * rhs_norm

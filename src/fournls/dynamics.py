@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft
 
-from .spectrum import (FourierState, Trajectory, mass, odd_padded_grid_size,
-                       padded_grid_size, to_grid)
+from .spectrum import (FourierState, Trajectory, as_rows, mass,
+                       odd_padded_grid_size, padded_grid_size, resize, to_grid)
 
 
 class NumericFailure(RuntimeError):
@@ -220,6 +220,8 @@ def _prepare(c0: np.ndarray, T: float, spec: IntegratorSpec,
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     k_float = T / spec.dt
+    if not math.isfinite(k_float):
+        raise ValueError(f"T={T} and dt={spec.dt} give no finite step count")
     k = round(k_float)
     if k < 0 or abs(k_float - k) > 1e-12 * max(1.0, abs(k_float)):
         raise ValueError(f"T={T} is not a nonnegative integer multiple of dt={spec.dt}")
@@ -227,11 +229,7 @@ def _prepare(c0: np.ndarray, T: float, spec: IntegratorSpec,
         raise ValueError("sample_stride must divide the number of steps")
     if spec.scheme is Scheme.STRANG:
         # zero-pad so the collocation grid 2*n_max+1 is alias-safe and odd
-        n_max = (c0.shape[-1] - 1) // 2
-        lift = (odd_padded_grid_size(n_max) - 1) // 2
-        padded = np.zeros(c0.shape[:-1] + (2 * lift + 1,), dtype=np.complex128)
-        padded[..., lift - n_max : lift + n_max + 1] = c0
-        c0 = padded
+        c0 = resize(c0, (odd_padded_grid_size((c0.shape[-1] - 1) // 2) - 1) // 2)
     return c0, k
 
 
@@ -274,12 +272,7 @@ def integrate_batch(data, T: float, spec: IntegratorSpec, kind: EquationKind,
     The rows step together through the same kernel, so NumericFailure(i)
     names the first step after which any row has a non-finite amplitude.
     """
-    c = np.ascontiguousarray(data, dtype=np.complex128)
-    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] % 2 == 0:
-        raise ValueError(f"data must be (B, 2*n_max+1) rows with B >= 1, got {c.shape}")
-    if not np.all(np.isfinite(c.view(np.float64))):
-        raise ValueError("data contain NaN or Inf")
-    c0, k = _prepare(c, T, spec, sample_stride)
+    c0, k = _prepare(as_rows(data, "data"), T, spec, sample_stride)
     return _run(c0, k, spec, kind, sample_stride)
 
 

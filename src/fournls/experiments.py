@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import (EquationKind, IntegratorSpec, Kind, Scheme, integrate,
                        integrate_batch)
-from .spectrum import FourierState
+from .spectrum import FourierState, resize
 
 
 def derive_rng(root_seed: int, *key) -> np.random.Generator:
@@ -117,23 +117,16 @@ def _choose_stride(steps: int) -> int:
     return best
 
 
-def _low_modes(c: np.ndarray, cutoff: int) -> np.ndarray:
-    """The modes |n| <= cutoff of amplitude rows c, shape (..., 2*n_max+1)."""
-    n_max = (c.shape[-1] - 1) // 2
-    return c[..., n_max - cutoff : n_max + cutoff + 1]
-
-
 def _low_mode_gap(a: np.ndarray, b: np.ndarray, cutoff: int) -> float:
     """Largest l2 gap between the modes |n| <= cutoff of the sample rows a
     and b (broadcast over their leading axes; 0.0 when there are none).
     cutoff must not exceed either radius."""
-    gaps = np.linalg.norm(_low_modes(a, cutoff) - _low_modes(b, cutoff), axis=-1)
+    gaps = np.linalg.norm(resize(a, cutoff) - resize(b, cutoff), axis=-1)
     return float(np.max(gaps, initial=0.0))
 
 
 def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
-                            T: float, dt: float, mu_sign: int = 1,
-                            kind: Kind = Kind.FULL_4NLS) -> ExperimentReport:
+                            T: float, dt: float, mu_sign: int = 1) -> ExperimentReport:
     """Truncation-convergence ladder.
 
     For each N: datum = P_{<=N}(profile); the reference flow is the
@@ -146,7 +139,7 @@ def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
         raise ValueError("N ladder must be strictly increasing and nonempty")
     if ref_factor < 2:
         raise ValueError("ref_factor must be >= 2")
-    eq = EquationKind(kind, mu_sign)
+    eq = EquationKind(Kind.FULL_4NLS, mu_sign)
     spec = IntegratorSpec(Scheme.EXP_RK4, dt)
     base = profile.build(ladder[-1])
     steps = round(T / dt)
@@ -173,7 +166,7 @@ def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
         "dt": dt,
         "scheme": Scheme.EXP_RK4.value,
         "mu": mu_sign,
-        "equation": kind.value,
+        "equation": Kind.FULL_4NLS.value,
         "sample_stride": stride,
     }
     return ExperimentReport("approximation_study", params, table, fitted)
@@ -197,15 +190,15 @@ def high_frequency_perturbation(rng: np.random.Generator, n_prime: int,
 
 def run_perturbation_study(profile: ProfileSpec, n_primes,
                            perturbation_norm: float, T: float, dt: float,
-                           trials: int = 4, seed: int = 0, mu_sign: int = 1,
-                           kind: Kind = Kind.FULL_4NLS) -> ExperimentReport:
+                           trials: int = 4, seed: int = 0,
+                           mu_sign: int = 1) -> ExperimentReport:
     """Low-frequency stability under high-frequency data perturbations.
 
     For each N' in the ladder: co-evolve the datum and N'-agreeing
     perturbed data at resolution 2N' as one batch and record the worst
     sampled divergence of the modes |n| <= N' - floor(sqrt(N'))."""
     ladder = [int(n) for n in n_primes]
-    eq = EquationKind(kind, mu_sign)
+    eq = EquationKind(Kind.FULL_4NLS, mu_sign)
     spec = IntegratorSpec(Scheme.EXP_RK4, dt)
     steps = round(T / dt)
     stride = _choose_stride(steps)
@@ -236,7 +229,7 @@ def run_perturbation_study(profile: ProfileSpec, n_primes,
         "trials": trials,
         "seed": seed,
         "mu": mu_sign,
-        "equation": kind.value,
+        "equation": Kind.FULL_4NLS.value,
         "sample_stride": stride,
     }
     return ExperimentReport("perturbation_study", params, table)

@@ -47,14 +47,17 @@ def gauge_equivalence_check(u0: FourierState, T: float, dt: float,
                             spec: IntegratorSpec | None = None,
                             mu_sign: int = 1,
                             sample_stride: int = 1) -> GaugeEquivalenceReport:
-    """Integrate 4NLS and 4WNLS from the same datum and compare G[u] with v.
+    """Integrate 4NLS and 4WNLS from the same datum and compare G[u] with v;
+    spec (EXP_RK4 when omitted) sets the scheme, and its dt must equal dt.
 
     Returns sup over samples of the l2 gap, its full time profile, and the
     profile of the gap after the best global phase per sample. The gauge
     phase uses the t=0 mass, so the gap also reflects the mass drift of the
     integrator; the aligned gap does not.
     """
-    spec = IntegratorSpec(dt=dt) if spec is None else IntegratorSpec(spec.scheme, dt)
+    spec = IntegratorSpec(dt=dt) if spec is None else spec
+    if spec.dt != dt:
+        raise ValueError(f"spec.dt={spec.dt} differs from dt={dt}")
     mass0 = mass(u0)
     traj_u = integrate(u0, T, spec, EquationKind(Kind.FULL_4NLS, mu_sign), sample_stride)
     traj_v = integrate(u0, T, spec, EquationKind(Kind.WICK_4WNLS, mu_sign), sample_stride)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import FourierState
+from .spectrum import FourierState, resize
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ class ModifiedPhase:
             raise ValueError(
                 f"frequency {n} outside reference support |n| <= {self.reference.n_max}"
             )
-        return abs(self.reference.mode(n)) ** 2
+        # mu_array's np.abs(c0) ** 2 squares; on a scalar, ** 2 would call pow
+        return float(np.square(np.abs(self.reference.mode(n))))
 
     def mu(self, n: int) -> float:
         return float(n) ** 4 + self.weight(n)
@@ -95,11 +96,8 @@ class ModifiedPhase:
     def mu_array(self, n_max: int) -> np.ndarray:
         """mu(n) for n = -n_max..n_max; requires n_max <= reference n_max."""
         self.weight(n_max)  # raises ValueError beyond the reference support
-        ref = self.reference
-        c0 = ref.coeffs[ref.n_max - n_max : ref.n_max + n_max + 1]
-        # hypot and pow are the libm calls of weight's abs(c)**2: entry n is mu(n) bit for bit
-        weights = np.float_power(np.hypot(c0.real, c0.imag), 2)
-        return np.arange(-n_max, n_max + 1, dtype=np.float64) ** 4 + weights
+        c0 = resize(self.reference.coeffs, n_max)
+        return np.arange(-n_max, n_max + 1, dtype=np.float64) ** 4 + np.abs(c0) ** 2
 
 
 def g_value(n1: int, n2: int, n3: int, phase: ModifiedPhase) -> float:

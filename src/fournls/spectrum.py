@@ -21,6 +21,28 @@ class FileFormatError(ValueError):
     """Raised when a state/trajectory file cannot be parsed."""
 
 
+def as_rows(c, name: str) -> np.ndarray:
+    """c as C-contiguous complex128 rows of shape (B, 2*n_max+1) with B >= 1,
+    all finite; a ValueError naming the argument otherwise."""
+    c = np.ascontiguousarray(c, dtype=np.complex128)
+    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] % 2 == 0:
+        raise ValueError(f"{name} must be (B, 2*n_max+1) rows with B >= 1, got {c.shape}")
+    if not np.all(np.isfinite(c.view(np.float64))):
+        raise ValueError(f"{name} contain NaN or Inf")
+    return c
+
+
+def resize(c, n_max: int) -> np.ndarray:
+    """Amplitude rows c, shape (..., 2*N+1), cropped or zero-padded to
+    radius n_max; each kept mode stays at its frequency. A crop is a view."""
+    k = (c.shape[-1] - 1) // 2 - n_max
+    if k >= 0:
+        return c[..., k : c.shape[-1] - k]
+    out = np.zeros(c.shape[:-1] + (2 * n_max + 1,), dtype=np.complex128)
+    out[..., -k : out.shape[-1] + k] = c
+    return out
+
+
 @dataclass(frozen=True)
 class FourierState:
     """Complex mode amplitudes c_n for n = -n_max .. n_max (contiguous)."""
@@ -73,16 +95,11 @@ class FourierState:
         """Zero-pad to a larger truncation radius."""
         if n_max < self.n_max:
             raise ValueError("pad_to target smaller than current n_max")
-        c = np.zeros(2 * n_max + 1, dtype=np.complex128)
-        c[n_max - self.n_max : n_max + self.n_max + 1] = self.coeffs
-        return FourierState(n_max, c)
+        return FourierState(n_max, resize(self.coeffs, n_max))
 
     def truncate_to(self, n_max: int) -> "FourierState":
         """Drop modes with |n| > n_max and shrink the carrier."""
-        if n_max >= self.n_max:
-            return self.pad_to(n_max)
-        k = self.n_max - n_max
-        return FourierState(n_max, self.coeffs[k : len(self.coeffs) - k])
+        return FourierState(n_max, resize(self.coeffs, n_max))
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -106,11 +123,7 @@ class Trajectory:
     def __post_init__(self):
         if not (math.isfinite(self.t0) and math.isfinite(self.dt) and self.dt != 0.0):
             raise ValueError(f"need finite t0, finite nonzero dt; got {self.t0}, {self.dt}")
-        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] % 2 == 0:
-            raise ValueError(f"coeffs must be (samples, 2*n_max+1) rows, got {c.shape}")
-        if not np.all(np.isfinite(c.view(np.float64))):
-            raise ValueError("coeffs contain NaN or Inf")
+        c = as_rows(self.coeffs, "coeffs")
         if c.flags.writeable:
             c = c.copy()
             c.flags.writeable = False
@@ -286,13 +299,17 @@ def _header(text: str, fmt: str, where: str) -> tuple[dict, int]:
     return doc, n_max
 
 
-def _decode(raw, n_max: int, where: str) -> np.ndarray:
-    """The 2*n_max+1 amplitudes in raw, a list of finite [re, im] number pairs."""
+def _decode(raw, n_max: int, where: str, text: str) -> np.ndarray:
+    """The 2*n_max+1 amplitudes in raw, finite [re, im] number pairs parsed from text."""
     try:
         pairs = np.array(raw)
     except ValueError as exc:  # ragged nesting
         raise FileFormatError(f"{where}: malformed coeffs: {exc}") from exc
-    if pairs.dtype.kind not in "biuf":  # strings, null and objects
+    # no JSON number has a "u" or an "l", but true and false (numpy's 1 and 0)
+    # do; when the text has either letter, look again at the coeffs alone
+    if "u" in text or "l" in text:
+        text = json.dumps(raw)
+    if pairs.dtype.kind not in "iuf" or "u" in text or "l" in text:  # strings, null, bools
         raise FileFormatError(f"{where}: coeffs must be numbers, found {raw!r:.60}")
     if pairs.shape != (2 * n_max + 1, 2):
         raise FileFormatError(
@@ -315,8 +332,9 @@ def save_state(state: FourierState, path) -> None:
 
 def load_state(path) -> FourierState:
     with open(path) as fh:
-        doc, n_max = _header(fh.read(), STATE_FORMAT, str(path))
-    return FourierState(n_max, _decode(doc.get("coeffs"), n_max, str(path)))
+        text = fh.read()
+    doc, n_max = _header(text, STATE_FORMAT, str(path))
+    return FourierState(n_max, _decode(doc.get("coeffs"), n_max, str(path), text))
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
@@ -350,7 +368,7 @@ def load_trajectory(path) -> Trajectory:
         k = rec.get("k")
         if type(k) is not int or k != i:
             raise FileFormatError(f"{where} carries index {k!r}")
-        row = _decode(rec.get("coeffs"), n_max, where)
+        row = _decode(rec.get("coeffs"), n_max, where, ln)
         if coeffs is None:  # allocate only once a record confirms the width
             coeffs = np.empty((len(lines) - 1, len(row)), dtype=np.complex128)
         coeffs[i] = row

@@ -154,6 +154,15 @@ class TestSimulate:
         assert run([*args, "--out-dir", tmp_path]) == 1
         assert capsys.readouterr().err.startswith("config error: 4nls")
 
+    @pytest.mark.parametrize("args, key", [
+        (["simulate", "--n-max", 4, "--dt", "1e-3", "--T", "inf"], "T"),
+        (["approx", "--T", "inf"], "T"),
+        (["squeeze", "--z-re", "nan"], "z_re"),
+    ], ids=["simulate-inf-T", "approx-inf-T", "squeeze-nan-z"])
+    def test_non_finite_number_exits_1(self, tmp_path, capsys, args, key):
+        assert run([*args, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be finite")
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--help"])

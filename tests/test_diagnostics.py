@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_state
 from fournls.diagnostics import (
     ModeField,
     SpaceTimeField,
@@ -29,12 +30,6 @@ from fournls.dynamics import (
 )
 from fournls.resonance import ModifiedPhase
 from fournls.spectrum import DyadicBlock, FourierState, Trajectory, blocks_covering
-
-
-def random_state(n_max, seed=0, norm=1.0):
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=2 * n_max + 1) + 1j * rng.normal(size=2 * n_max + 1)
-    return FourierState(n_max, c * (norm / np.linalg.norm(c)))
 
 
 class TestMassHamiltonian:

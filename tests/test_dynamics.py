@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_state
 from fournls.dynamics import (
     FULL,
     WICK,
@@ -36,12 +39,6 @@ def cubic_convolution_direct(u, v, w):
                 if abs(n) <= nm:
                     d[n + nm] += u.mode(n1) * np.conj(v.mode(n2)) * w.mode(n3)
     return FourierState(nm, d)
-
-
-def random_state(n_max, seed=0, norm=1.0):
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=2 * n_max + 1) + 1j * rng.normal(size=2 * n_max + 1)
-    return FourierState(n_max, c * (norm / np.linalg.norm(c)))
 
 
 # (spec, kind) per branch of the stepping kernel: scheme, equation and mu.
@@ -159,6 +156,11 @@ class TestIntegrate:
     def test_t_must_be_multiple_of_dt(self):
         with pytest.raises(ValueError):
             integrate(random_state(2), 0.105, IntegratorSpec(dt=1e-2), FULL)
+
+    @pytest.mark.parametrize("T, dt", [(np.inf, 1e-2), (np.nan, 1e-2), (1e300, 1e-10)])
+    def test_non_finite_step_count_rejected(self, T, dt):
+        with pytest.raises(ValueError, match=re.escape(f"T={T} and dt={dt}")):
+            integrate(random_state(2), T, IntegratorSpec(dt=dt), FULL)
 
     def test_stride_must_divide(self):
         with pytest.raises(ValueError):

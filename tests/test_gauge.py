@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import random_state
 from fournls.dynamics import IntegratorSpec, Scheme
 from fournls.gauge import gauge_apply, gauge_equivalence_check, gauge_invert
-from fournls.spectrum import FourierState
-
-
-def random_state(n_max, seed=0, norm=1.0):
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=2 * n_max + 1) + 1j * rng.normal(size=2 * n_max + 1)
-    return FourierState(n_max, c * (norm / np.linalg.norm(c)))
 
 
 class TestGaugeTransform:
@@ -62,5 +56,5 @@ class TestGaugeEquivalence:
     def test_defensive_spec_dt_override(self):
         u0 = random_state(4, seed=5)
         spec = IntegratorSpec(Scheme.EXP_RK4, 123.0)
-        rep = gauge_equivalence_check(u0, 0.01, 1e-3, spec=spec, sample_stride=10)
-        assert rep.max_gap < 1e-8
+        with pytest.raises(ValueError, match="spec.dt"):
+            gauge_equivalence_check(u0, 0.01, 1e-3, spec=spec, sample_stride=10)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_state
 from fournls.spectrum import (
     DyadicBlock,
     FileFormatError,
@@ -24,14 +25,6 @@ from fournls.spectrum import (
     save_trajectory,
     synthesize,
 )
-
-
-def random_state(n_max, seed=0, norm=None):
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=2 * n_max + 1) + 1j * rng.normal(size=2 * n_max + 1)
-    if norm is not None:
-        c *= norm / np.linalg.norm(c)
-    return FourierState(n_max, c)
 
 
 # -0.0, a subnormal, 1e308 and 0.1: each must survive the file codec bit for bit
@@ -83,7 +76,7 @@ class TestFourierState:
             FourierState.from_modes(2, {3: 1.0})
 
     def test_pad_truncate_round_trip(self):
-        u = random_state(4, seed=1)
+        u = random_state(4, seed=1, norm=None)
         assert u.pad_to(9).truncate_to(4).allclose(u)
 
     def test_truncate_drops_high_modes(self):
@@ -95,7 +88,7 @@ class TestFourierState:
 
     def test_pad_to_smaller_rejected(self):
         with pytest.raises(ValueError):
-            random_state(4).pad_to(2)
+            random_state(4, norm=None).pad_to(2)
 
     @given(coeff_strategy)
     @settings(max_examples=40, deadline=None)
@@ -148,7 +141,7 @@ class TestDyadicBlocks:
             assert 1 <= hits <= 3
 
     def test_project_dyadic_partition(self):
-        u = random_state(10, seed=2)
+        u = random_state(10, seed=2, norm=None)
         b = DyadicBlock(4)
         v = project_dyadic(u, b)
         for n in range(-10, 11):
@@ -158,15 +151,15 @@ class TestDyadicBlocks:
 
 class TestProjections:
     def test_project_leq_idempotent(self):
-        u = random_state(6, seed=3)
+        u = random_state(6, seed=3, norm=None)
         assert project_leq(project_leq(u, 3), 3).allclose(project_leq(u, 3))
 
     def test_project_leq_keeps_radius(self):
-        u = random_state(6, seed=3)
+        u = random_state(6, seed=3, norm=None)
         assert project_leq(u, 2).n_max == 6
 
     def test_hs_norm_s0_is_l2(self):
-        u = random_state(5, seed=4)
+        u = random_state(5, seed=4, norm=None)
         assert np.isclose(hs_norm(u, 0.0), u.l2_norm(), rtol=1e-13)
 
     def test_hs_norm_single_mode(self):
@@ -204,15 +197,15 @@ class TestTrajectory:
         assert np.allclose(tr.times, [1.0, 1.5, 2.0, 2.5])
 
     def test_coeff_array_shape(self):
-        tr = Trajectory(0.0, 0.1, [random_state(3, seed=k).coeffs for k in range(5)])
+        tr = Trajectory(0.0, 0.1, [random_state(3, seed=k, norm=None).coeffs for k in range(5)])
         assert tr.coeff_array().shape == (5, 7)
 
     def test_samples_are_validated_read_only_states(self):
-        rows = np.array([random_state(3, seed=k).coeffs for k in range(5)])
+        rows = np.array([random_state(3, seed=k, norm=None).coeffs for k in range(5)])
         tr = Trajectory(0.0, 0.1, rows)
         rows[0] = 0.0  # the caller's writable array is copied, not aliased
-        assert tr[0].allclose(random_state(3, seed=0))
-        assert tr[-1].allclose(random_state(3, seed=4))
+        assert tr[0].allclose(random_state(3, seed=0, norm=None))
+        assert tr[-1].allclose(random_state(3, seed=4, norm=None))
         assert [s.n_max for s in tr.states] == [3] * 5
         with pytest.raises(ValueError):
             tr.coeffs[0, 0] = 1.0
@@ -222,7 +215,7 @@ class TestTrajectory:
 
 class TestFileFormats:
     def test_state_round_trip_bit_exact(self, tmp_path):
-        u = random_state(7, seed=5)
+        u = random_state(7, seed=5, norm=None)
         p = tmp_path / "s.json"
         save_state(u, p)
         v = load_state(p)
@@ -231,13 +224,13 @@ class TestFileFormats:
 
     def test_state_format_field(self, tmp_path):
         p = tmp_path / "s.json"
-        save_state(random_state(2), p)
+        save_state(random_state(2, norm=None), p)
         doc = json.loads(p.read_text())
         assert doc["format"] == "4nls-state/1"
 
     def test_state_version_mismatch(self, tmp_path):
         p = tmp_path / "s.json"
-        save_state(random_state(2), p)
+        save_state(random_state(2, norm=None), p)
         doc = json.loads(p.read_text())
         doc["format"] = "4nls-state/9"
         p.write_text(json.dumps(doc))
@@ -246,7 +239,7 @@ class TestFileFormats:
 
     def test_state_wrong_coeff_count(self, tmp_path):
         p = tmp_path / "s.json"
-        save_state(random_state(2), p)
+        save_state(random_state(2, norm=None), p)
         doc = json.loads(p.read_text())
         doc["coeffs"] = doc["coeffs"][:-1]
         p.write_text(json.dumps(doc))
@@ -254,7 +247,7 @@ class TestFileFormats:
             load_state(p)
 
     def test_trajectory_round_trip_bit_exact(self, tmp_path):
-        tr = Trajectory(0.0, 1e-3, [random_state(4, seed=k).coeffs for k in range(6)])
+        tr = Trajectory(0.0, 1e-3, [random_state(4, seed=k, norm=None).coeffs for k in range(6)])
         p = tmp_path / "t.jsonl"
         save_trajectory(tr, p)
         back = load_trajectory(p)
@@ -262,7 +255,7 @@ class TestFileFormats:
         assert np.array_equal(back.coeffs, tr.coeffs)
 
     def test_trajectory_corrupt_record_named(self, tmp_path):
-        tr = Trajectory(0.0, 1e-3, [random_state(2, seed=k).coeffs for k in range(3)])
+        tr = Trajectory(0.0, 1e-3, [random_state(2, seed=k, norm=None).coeffs for k in range(3)])
         p = tmp_path / "t.jsonl"
         save_trajectory(tr, p)
         lines = p.read_text().splitlines()
@@ -322,6 +315,12 @@ class TestFileFormats:
         pytest.param(load_state, ['{"format": "4nls-state/1", "coeffs": [[1.0, 0.0]]}'],
                      id="state-no-n_max"),
         pytest.param(load_state, ["[1, 2]"], id="state-not-object"),
+        pytest.param(load_state, ['{"format": "4nls-state/1", "n_max": 0, '
+                                  '"coeffs": [[true, false]]}'], id="state-bool-coeffs"),
+        pytest.param(load_state, ['{"format": "4nls-state/1", "n_max": 0, '
+                                  '"coeffs": [[1.0, true]]}'], id="state-bool-in-pair"),
+        pytest.param(load_trajectory, [HEADER, REC0.replace("0.5, -0.5", "1.0, true")],
+                     id="record-bool-in-pair"),
     ])
     def test_malformed_file_rejected(self, tmp_path, load, lines):
         p = tmp_path / "f.json"
