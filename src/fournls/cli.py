@@ -247,7 +247,7 @@ def _cmd_simulate(cfg: RunConfig) -> str:
     path = _out(cfg, v["out"])
     save_trajectory(traj, path)
     return (f"simulate: {v['equation']} n_max={v['n_max']} T={v['T']} "
-            f"steps={round(v['T']/v['dt'])} mass={diagnostics.mass(traj[-1]):.6e} -> {path}")
+            f"steps={spec.steps(v['T'])} mass={diagnostics.mass(traj[-1]):.6e} -> {path}")
 
 
 def _cmd_gauge_check(cfg: RunConfig) -> str:

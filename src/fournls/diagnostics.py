@@ -15,6 +15,7 @@ import numpy as np
 from scipy.fft import fft, fftfreq
 
 from .dynamics import nonlinearity_nonresonant
+from .experiments import derive_rng
 from .resonance import ModifiedPhase, h_value
 from .spectrum import (
     DyadicBlock,
@@ -222,31 +223,12 @@ def _random_block_field(rng: np.random.Generator, block) -> ModeField:
     return ModeField(tuple(atoms))
 
 
-@dataclass(frozen=True)
-class TrilinearRatioStats:
-    levels: tuple  # (N1, N2, N3, N4)
-    exponent: float
-    trials: int
-    ratios: np.ndarray
-
-    @property
-    def max(self) -> float:
-        return float(np.max(self.ratios))
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.ratios))
-
-    def quantile(self, q: float) -> float:
-        return float(np.quantile(self.ratios, q))
-
-
 def trilinear_ratio(seed: int, n1_level: int, n2_level: int, n3_level: int,
-                    n4_level: int, trials: int) -> TrilinearRatioStats:
+                    n4_level: int, trials: int) -> np.ndarray:
     """Empirical sampler for the trilinear gain of the non-resonant term.
 
     Per trial draws random dyadically-localized fields u1, u2, u3 and
-    computes
+    returns the (trials,) array of
 
         ratio = ||P_{N4} N_NR(u1,u2,u3)||_{X^{0,-1/2}}
                 / (N_max^exponent * prod_j ||u_j||_{X^{0,1/2}}),
@@ -261,11 +243,10 @@ def trilinear_ratio(seed: int, n1_level: int, n2_level: int, n3_level: int,
     n_max_level = float(max(n1_level, n2_level, n3_level, n4_level))
     ratios = np.empty(trials)
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+        rng = derive_rng(seed, t)
         fields = [_random_block_field(rng, blocks[j]) for j in range(3)]
         lhs = nonresonant_output_xnorm(fields[0], fields[1], fields[2], blocks[3])
         rhs_norm = np.prod([f.x_norm(0.5) for f in fields])
         scale = n_max_level**exponent * rhs_norm
         ratios[t] = lhs / scale if scale > 0 else 0.0
-    return TrilinearRatioStats((n1_level, n2_level, n3_level, n4_level),
-                               exponent, trials, ratios)
+    return ratios

@@ -77,6 +77,17 @@ class IntegratorSpec:
         if self.dt == 0.0 or not math.isfinite(self.dt):
             raise ValueError("dt must be a nonzero finite number")
 
+    def steps(self, T: float) -> int:
+        """The step count k with T = k*dt; a ValueError unless T is a
+        nonnegative integer multiple of dt (in units of the signed step)."""
+        k_float = T / self.dt
+        if not math.isfinite(k_float):
+            raise ValueError(f"T={T} and dt={self.dt} give no finite step count")
+        k = round(k_float)
+        if k < 0 or abs(k_float - k) > 1e-12 * max(1.0, abs(k_float)):
+            raise ValueError(f"T={T} is not a nonnegative integer multiple of dt={self.dt}")
+        return k
+
 
 def _conv_plan(n_max: int) -> tuple:
     """Precomputed FFT layout for alias-free cubic products at this n_max."""
@@ -219,12 +230,7 @@ def _prepare(c0: np.ndarray, T: float, spec: IntegratorSpec,
     and the step count k."""
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    k_float = T / spec.dt
-    if not math.isfinite(k_float):
-        raise ValueError(f"T={T} and dt={spec.dt} give no finite step count")
-    k = round(k_float)
-    if k < 0 or abs(k_float - k) > 1e-12 * max(1.0, abs(k_float)):
-        raise ValueError(f"T={T} is not a nonnegative integer multiple of dt={spec.dt}")
+    k = spec.steps(T)
     if k % sample_stride != 0:
         raise ValueError("sample_stride must divide the number of steps")
     if spec.scheme is Scheme.STRANG:

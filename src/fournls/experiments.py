@@ -125,6 +125,14 @@ def _low_mode_gap(a: np.ndarray, b: np.ndarray, cutoff: int) -> float:
     return float(np.max(gaps, initial=0.0))
 
 
+def _ladder(n_ladder) -> list:
+    """A study's N ladder as ints: nonempty, positive, strictly increasing."""
+    ladder = [int(n) for n in n_ladder]
+    if not ladder or ladder[0] < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("N ladder must be positive, strictly increasing and nonempty")
+    return ladder
+
+
 def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
                             T: float, dt: float, mu_sign: int = 1) -> ExperimentReport:
     """Truncation-convergence ladder.
@@ -134,16 +142,13 @@ def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
     untruncated flow); error(N) = sup over samples of the l2 gap of the
     modes |n| <= floor(sqrt(N)). Fits error ~ C N^{-sigma}.
     """
-    ladder = [int(n) for n in n_ladder]
-    if any(b <= a for a, b in zip(ladder, ladder[1:])) or not ladder:
-        raise ValueError("N ladder must be strictly increasing and nonempty")
+    ladder = _ladder(n_ladder)
     if ref_factor < 2:
         raise ValueError("ref_factor must be >= 2")
     eq = EquationKind(Kind.FULL_4NLS, mu_sign)
     spec = IntegratorSpec(Scheme.EXP_RK4, dt)
     base = profile.build(ladder[-1])
-    steps = round(T / dt)
-    stride = _choose_stride(steps)
+    stride = _choose_stride(spec.steps(T))
 
     def one(n: int):
         datum = base.truncate_to(n)
@@ -197,11 +202,14 @@ def run_perturbation_study(profile: ProfileSpec, n_primes,
     For each N' in the ladder: co-evolve the datum and N'-agreeing
     perturbed data at resolution 2N' as one batch and record the worst
     sampled divergence of the modes |n| <= N' - floor(sqrt(N'))."""
-    ladder = [int(n) for n in n_primes]
+    ladder = _ladder(n_primes)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not perturbation_norm >= 0.0:
+        raise ValueError("perturbation_norm must be nonnegative")
     eq = EquationKind(Kind.FULL_4NLS, mu_sign)
     spec = IntegratorSpec(Scheme.EXP_RK4, dt)
-    steps = round(T / dt)
-    stride = _choose_stride(steps)
+    stride = _choose_stride(spec.steps(T))
 
     def one(n_prime: int):
         res = 2 * n_prime
@@ -210,8 +218,6 @@ def run_perturbation_study(profile: ProfileSpec, n_primes,
         for trial in range(trials):
             rng = derive_rng(seed, "perturb", n_prime, trial)
             d = high_frequency_perturbation(rng, n_prime, res, perturbation_norm)
-            if np.any(d.coeffs[np.abs(d.modes) <= n_prime] != 0.0):
-                raise ValueError("perturbation leaks into |n| <= N'")
             data.append(u0.coeffs + d.coeffs)
         samples = integrate_batch(np.stack(data), T, spec, eq, stride)
         cutoff = n_prime - math.isqrt(n_prime)
@@ -287,7 +293,7 @@ def run_squeeze_probe(u_star: FourierState, R: float, r: float, n0: int,
         candidates.append((f"interior:{k}", d, rho * rng.random()))
 
     data = np.stack([base.coeffs + radius * d for _, d, radius in candidates])
-    final = integrate_batch(data, T, spec, eq, sample_stride=max(1, round(T / dt)))[-1]
+    final = integrate_batch(data, T, spec, eq, sample_stride=max(1, spec.steps(T)))[-1]
     table = [{"label": label, "radius": radius, "margin": float(abs(complex(c) - z) - r)}
              for (label, _, radius), c in zip(candidates, final[:, n0 + N])]
     best = max(table, key=lambda row: row["margin"])

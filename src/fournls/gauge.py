@@ -14,16 +14,19 @@ from .dynamics import EquationKind, IntegratorSpec, Kind, integrate
 from .spectrum import FourierState, mass
 
 
-def gauge_apply(u: FourierState, t: float, mass0: float, mu_sign: int = 1) -> FourierState:
-    """Multiply every mode by e^{2 i mu t mass0}."""
+def gauge_apply(u, t, mass0: float, mu_sign: int = 1):
+    """Multiply every mode by e^{2 i mu t mass0}: of one FourierState at time
+    t, or of amplitude rows (..., 2*n_max+1) with one time per row in t."""
     if mass0 < 0:
         raise ValueError("mass0 must be nonnegative")
-    return u.with_coeffs(np.exp(2j * mu_sign * t * mass0) * u.coeffs)
+    if isinstance(u, FourierState):
+        return u.with_coeffs(gauge_apply(u.coeffs, t, mass0, mu_sign))
+    return np.exp(2j * mu_sign * np.asarray(t)[..., None] * mass0) * u
 
 
-def gauge_invert(v: FourierState, t: float, mass0: float, mu_sign: int = 1) -> FourierState:
+def gauge_invert(v, t, mass0: float, mu_sign: int = 1):
     """Exact inverse phase: gauge_invert(gauge_apply(u)) == u."""
-    return v.with_coeffs(np.exp(-2j * mu_sign * t * mass0) * v.coeffs)
+    return gauge_apply(v, -t, mass0, mu_sign)
 
 
 @dataclass(frozen=True)
@@ -61,11 +64,9 @@ def gauge_equivalence_check(u0: FourierState, T: float, dt: float,
     mass0 = mass(u0)
     traj_u = integrate(u0, T, spec, EquationKind(Kind.FULL_4NLS, mu_sign), sample_stride)
     traj_v = integrate(u0, T, spec, EquationKind(Kind.WICK_4WNLS, mu_sign), sample_stride)
-    times = traj_u.times
-    phases = np.exp(2j * mu_sign * times * mass0)[:, None]
-    gu, v = phases * traj_u.coeffs, traj_v.coeffs
+    gu, v = gauge_apply(traj_u.coeffs, traj_u.times, mass0, mu_sign), traj_v.coeffs
     gaps = np.linalg.norm(gu - v, axis=1)
     # the phase of <G[u], v> rotates G[u] onto v; angle(0) = 0 keeps a zero row
     best = np.exp(1j * np.angle(np.sum(np.conj(gu) * v, axis=1)))[:, None]
     aligned = np.linalg.norm(best * gu - v, axis=1)
-    return GaugeEquivalenceReport(float(np.max(gaps)), times, gaps, aligned)
+    return GaugeEquivalenceReport(float(np.max(gaps)), traj_u.times, gaps, aligned)

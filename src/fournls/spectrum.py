@@ -245,10 +245,8 @@ def project_leq(state: FourierState, cutoff: int) -> FourierState:
     """Zero all modes with |n| > cutoff; the truncation radius is unchanged."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    c = state.coeffs.copy()
-    ns = state.modes
-    c[np.abs(ns) > cutoff] = 0.0
-    return state.with_coeffs(c)
+    n = state.n_max
+    return state.with_coeffs(resize(resize(state.coeffs, min(cutoff, n)), n))
 
 
 def project_dyadic(state: FourierState, block: DyadicBlock) -> FourierState:

@@ -163,6 +163,15 @@ class TestSimulate:
         assert run([*args, "--out-dir", tmp_path]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {key} must be finite")
 
+    @pytest.mark.parametrize("args", [
+        ["perturb", "--ladder", "32,16"],
+        ["perturb", "--ladder", "-3"],
+        ["approx", "--ladder", "0,1,2"],
+    ], ids=["perturb-decreasing", "perturb-negative", "approx-zero-rung"])
+    def test_bad_ladder_exits_1(self, tmp_path, capsys, args):
+        assert run([*args, "--T", "0.002", "--dt", "1e-3", "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith("config error: N ladder must be")
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--help"])

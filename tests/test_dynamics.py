@@ -78,6 +78,15 @@ class TestIntegratorSpec:
             IntegratorSpec(dt=float("inf"))
         IntegratorSpec(dt=-1e-3)  # backwards integration is allowed
 
+    @pytest.mark.parametrize("T, dt, k", [(0.1, 1e-2, 10), (0.0, 1e-3, 0), (-0.1, -1e-2, 10)])
+    def test_steps(self, T, dt, k):
+        assert IntegratorSpec(dt=dt).steps(T) == k
+
+    @pytest.mark.parametrize("T, dt", [(0.105, 1e-2), (-0.1, 1e-2)])
+    def test_steps_rejects_t_off_the_step_grid(self, T, dt):
+        with pytest.raises(ValueError, match=re.escape(f"T={T}")):
+            IntegratorSpec(dt=dt).steps(T)
+
 
 class TestCubicConvolution:
     @given(small_state)

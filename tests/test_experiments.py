@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,45 @@ class TestReports:
         rep.save_json(p)
         assert str(p) in rep.artifacts
         assert json.loads(p.read_text())["kind"] == "demo"
+
+
+PROFILE = ProfileSpec(ProfileKind.EXP_DECAY, 1.0, 0.3, seed=2)
+
+LADDER_STUDIES = {
+    "approx": lambda ladder: run_approximation_study(PROFILE, ladder, 2, 0.01, 1e-3),
+    "perturb": lambda ladder: run_perturbation_study(PROFILE, ladder, 0.05, 0.01, 1e-3,
+                                                     trials=1),
+}
+
+STUDIES_TO_T = {
+    "approx": lambda T: run_approximation_study(PROFILE, [2, 3], 2, T, 1e-3),
+    "perturb": lambda T: run_perturbation_study(PROFILE, [2, 3], 0.05, T, 1e-3, trials=1),
+    "squeeze": lambda T: run_squeeze_probe(FourierState.zeros(4), 1.0, 0.5, 1, 0j, T, 4,
+                                           1e-3, samples=4),
+}
+
+
+class TestStudyInputs:
+    @pytest.mark.parametrize("study", sorted(LADDER_STUDIES))
+    @pytest.mark.parametrize("ladder", [[32, 16], [4, 4], [], [0, 1, 2], [-3]],
+                             ids=["decreasing", "repeated", "empty", "zero-rung", "negative"])
+    def test_ladder_must_be_positive_increasing_nonempty(self, study, ladder):
+        with pytest.raises(ValueError, match="N ladder must be positive, strictly increasing"):
+            LADDER_STUDIES[study](ladder)
+
+    @pytest.mark.parametrize("study", sorted(STUDIES_TO_T))
+    def test_infinite_T_names_T_and_dt(self, study):
+        with pytest.raises(ValueError, match=re.escape("T=inf and dt=0.001")):
+            STUDIES_TO_T[study](math.inf)
+
+    def test_perturbation_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_perturbation_study(PROFILE, [4], 0.05, 0.01, 1e-3, trials=0)
+
+    @pytest.mark.parametrize("norm", [-0.1, math.nan])
+    def test_perturbation_norm_must_be_nonnegative(self, norm):
+        with pytest.raises(ValueError, match="perturbation_norm must be nonnegative"):
+            run_perturbation_study(PROFILE, [4], norm, 0.01, 1e-3, trials=1)
 
 
 class TestPerturbation:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_state
-from fournls.dynamics import IntegratorSpec, Scheme
+from fournls.dynamics import FULL, IntegratorSpec, Scheme, integrate
 from fournls.gauge import gauge_apply, gauge_equivalence_check, gauge_invert
+from fournls.spectrum import mass
 
 
 class TestGaugeTransform:
@@ -23,6 +24,21 @@ class TestGaugeTransform:
         assert np.allclose(np.abs(v.coeffs), np.abs(u.coeffs), atol=0)
         phase = v.coeffs / u.coeffs
         assert np.allclose(phase, np.exp(2j * 1.3 * 0.9), atol=1e-15)
+
+    @pytest.mark.parametrize("mu_sign", [1, -1])
+    @pytest.mark.parametrize("scheme", [Scheme.EXP_RK4, Scheme.STRANG])
+    def test_rows_equal_per_sample_loop(self, scheme, mu_sign):
+        u0 = random_state(6, seed=8)
+        traj = integrate(u0, 0.02, IntegratorSpec(scheme, 1e-3), FULL, 2)
+        m0 = mass(u0)
+        rows = gauge_apply(traj.coeffs, traj.times, m0, mu_sign)
+        loop = [gauge_apply(traj[k], t, m0, mu_sign).coeffs for k, t in enumerate(traj.times)]
+        assert rows.shape == traj.coeffs.shape
+        assert np.array_equal(rows, np.stack(loop))
+
+    def test_invert_rejects_negative_mass(self):
+        with pytest.raises(ValueError, match="mass0 must be nonnegative"):
+            gauge_invert(random_state(4, seed=1), 0.37, -0.8)
 
 
 class TestGaugeEquivalence:

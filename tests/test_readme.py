@@ -14,6 +14,7 @@ def test_quick_start_runs():
     exec(compile(code, f"{README.name}: Quick start", "exec"), ns)
     samples = len(ns["traj"])
     assert ns["amps"].shape == (samples, 17)
+    assert ns["gauged"].shape == (samples, 17)
     assert ns["mass_drift"].shape == ns["energy_drift"].shape == (samples,)
     assert ns["samples"].shape == (samples, 2, 17)
     assert ns["masses"].shape == (samples, 2)

@@ -158,6 +158,18 @@ class TestProjections:
         u = random_state(6, seed=3, norm=None)
         assert project_leq(u, 2).n_max == 6
 
+    @pytest.mark.parametrize("cutoff", [6, 9])
+    def test_project_leq_at_or_above_radius_is_identity(self, cutoff):
+        u = random_state(6, seed=3, norm=None)
+        assert np.array_equal(project_leq(u, cutoff).coeffs, u.coeffs)
+
+    def test_project_leq_zeroes_only_high_modes(self):
+        u = random_state(6, seed=3, norm=None)
+        p = project_leq(u, 2)
+        low = np.abs(u.modes) <= 2
+        assert np.array_equal(p.coeffs[low], u.coeffs[low])
+        assert np.all(p.coeffs[~low] == 0.0)
+
     def test_hs_norm_s0_is_l2(self):
         u = random_state(5, seed=4, norm=None)
         assert np.isclose(hs_norm(u, 0.0), u.l2_norm(), rtol=1e-13)
