@@ -211,7 +211,7 @@ def nonresonant_output_xnorm(u1: ModeField, u2: ModeField, u3: ModeField, out_bl
 
 
 def _random_block_field(rng: np.random.Generator, block) -> ModeField:
-    freqs = [n for lo, hi in block.index_set for n in range(lo, hi + 1)]
+    freqs = [n for n in range(-2 * block.level, 2 * block.level + 1) if block.contains(n)]
     chosen = rng.choice(len(freqs), size=min(6, len(freqs)), replace=False)
     atoms = []
     for i in sorted(chosen):

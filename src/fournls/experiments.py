@@ -10,7 +10,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -75,7 +75,6 @@ class ExperimentReport:
     params: dict
     table: list
     fitted: dict | None = None
-    artifacts: list = field(default_factory=list)
     created: float = 0.0
 
     def to_json(self) -> str:
@@ -84,7 +83,6 @@ class ExperimentReport:
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_json() + "\n")
-        self.artifacts.append(str(path))
 
     def stamp(self, deterministic: bool) -> None:
         self.created = 0.0 if deterministic else time.time()
@@ -108,13 +106,18 @@ def fit_decay_rate(table) -> tuple[float, float, float]:
 _TARGET_SAMPLES = 50  # fewest samples a study trajectory keeps
 
 
-def _choose_stride(steps: int) -> int:
-    """Largest divisor of steps giving at least _TARGET_SAMPLES samples."""
-    best = 1
-    for stride in range(1, steps + 1):
-        if steps % stride == 0 and steps // stride >= _TARGET_SAMPLES:
-            best = stride
-    return best
+def _ladder_flow(T: float, dt: float, mu_sign: int) -> tuple:
+    """(equation, spec, stride, echo) of a ladder study: the full 4NLS under
+    Lawson RK4, sampled every stride steps, where stride is the largest
+    divisor of the step count that keeps _TARGET_SAMPLES samples (else 1);
+    echo is the flow's part of the report's params."""
+    spec = IntegratorSpec(Scheme.EXP_RK4, dt)
+    steps = spec.steps(T)
+    stride = next(d for d in range(max(1, steps // _TARGET_SAMPLES), 0, -1)
+                  if steps % d == 0)
+    echo = {"T": T, "dt": dt, "scheme": Scheme.EXP_RK4.value, "mu": mu_sign,
+            "equation": Kind.FULL_4NLS.value, "sample_stride": stride}
+    return EquationKind(Kind.FULL_4NLS, mu_sign), spec, stride, echo
 
 
 def _low_mode_gap(a: np.ndarray, b: np.ndarray, cutoff: int) -> float:
@@ -145,10 +148,8 @@ def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
     ladder = _ladder(n_ladder)
     if ref_factor < 2:
         raise ValueError("ref_factor must be >= 2")
-    eq = EquationKind(Kind.FULL_4NLS, mu_sign)
-    spec = IntegratorSpec(Scheme.EXP_RK4, dt)
+    eq, spec, stride, echo = _ladder_flow(T, dt, mu_sign)
     base = profile.build(ladder[-1])
-    stride = _choose_stride(spec.steps(T))
 
     def one(n: int):
         datum = base.truncate_to(n)
@@ -167,12 +168,7 @@ def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
         "profile": _profile_params(profile),
         "n_ladder": ladder,
         "ref_factor": ref_factor,
-        "T": T,
-        "dt": dt,
-        "scheme": Scheme.EXP_RK4.value,
-        "mu": mu_sign,
-        "equation": Kind.FULL_4NLS.value,
-        "sample_stride": stride,
+        **echo,
     }
     return ExperimentReport("approximation_study", params, table, fitted)
 
@@ -207,9 +203,7 @@ def run_perturbation_study(profile: ProfileSpec, n_primes,
         raise ValueError("trials must be >= 1")
     if not perturbation_norm >= 0.0:
         raise ValueError("perturbation_norm must be nonnegative")
-    eq = EquationKind(Kind.FULL_4NLS, mu_sign)
-    spec = IntegratorSpec(Scheme.EXP_RK4, dt)
-    stride = _choose_stride(spec.steps(T))
+    eq, spec, stride, echo = _ladder_flow(T, dt, mu_sign)
 
     def one(n_prime: int):
         res = 2 * n_prime
@@ -229,14 +223,9 @@ def run_perturbation_study(profile: ProfileSpec, n_primes,
         "profile": _profile_params(profile),
         "n_primes": ladder,
         "perturbation_norm": perturbation_norm,
-        "T": T,
-        "dt": dt,
-        "scheme": Scheme.EXP_RK4.value,
         "trials": trials,
         "seed": seed,
-        "mu": mu_sign,
-        "equation": Kind.FULL_4NLS.value,
-        "sample_stride": stride,
+        **echo,
     }
     return ExperimentReport("perturbation_study", params, table)
 

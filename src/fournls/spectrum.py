@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -98,7 +98,8 @@ class FourierState:
         return FourierState(n_max, resize(self.coeffs, n_max))
 
     def truncate_to(self, n_max: int) -> "FourierState":
-        """Drop modes with |n| > n_max and shrink the carrier."""
+        """Resize to radius n_max: drop the modes with |n| > n_max, or
+        zero-pad when n_max exceeds the current radius."""
         return FourierState(n_max, resize(self.coeffs, n_max))
 
     def l2_norm(self) -> float:
@@ -158,37 +159,26 @@ class DyadicBlock:
     """Frequency annulus I_1 = [-1,1], I_N = [-2N,-N/2] u [N/2,2N] for N >= 2."""
 
     level: int
-    index_set: tuple = field(init=False)
 
     def __post_init__(self):
         n = self.level
         if n < 1 or (n & (n - 1)) != 0:
             raise ValueError(f"level must be a power of two >= 1, got {n}")
-        if n == 1:
-            intervals = ((-1, 1),)
-        else:
-            intervals = ((-2 * n, -(n // 2)), (n // 2, 2 * n))
-        object.__setattr__(self, "index_set", intervals)
 
-    def contains(self, n: int) -> bool:
-        return any(lo <= n <= hi for lo, hi in self.index_set)
+    def contains(self, n):
+        """Whether n lies in the block: a bool for an int, an elementwise
+        mask for an integer array."""
+        lo, hi = (0, 1) if self.level == 1 else (self.level // 2, 2 * self.level)
+        return (lo <= abs(n)) & (abs(n) <= hi)
 
     def mask(self, n_max: int) -> np.ndarray:
-        ns = np.arange(-n_max, n_max + 1)
-        m = np.zeros_like(ns, dtype=bool)
-        for lo, hi in self.index_set:
-            m |= (ns >= lo) & (ns <= hi)
-        return m
+        return self.contains(np.arange(-n_max, n_max + 1))
 
 
 def blocks_covering(n_max: int) -> list[DyadicBlock]:
-    """Dyadic blocks whose union covers [-n_max, n_max]."""
-    blocks = [DyadicBlock(1)]
-    level = 2
-    while level // 2 <= n_max:
-        blocks.append(DyadicBlock(level))
-        level *= 2
-    return blocks
+    """Dyadic blocks whose union covers [-n_max, n_max]: levels 1, 2, ...,
+    up to the largest N with N/2 <= n_max."""
+    return [DyadicBlock(2**j) for j in range(max(n_max, 0).bit_length() + 1)]
 
 
 def analyze(samples, n_max: int) -> FourierState:

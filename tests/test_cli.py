@@ -135,6 +135,20 @@ class TestSimulate:
         tr = load_trajectory(tmp_path / "t.jsonl")
         assert abs(abs(tr[-1].mode(1)) - 0.5) < 1e-10
 
+    @pytest.mark.parametrize("n_max", [2, 6], ids=["crop", "pad"])
+    def test_state_input_resized_to_n_max(self, tmp_path, n_max):
+        # --n-max drops the saved datum's modes beyond it, or zero-pads
+        modes = {1: 0.5, -3: 0.25}
+        sp = tmp_path / "s.json"
+        save_state(FourierState.from_modes(4, modes), sp)
+        rc = run(["simulate", "--state", sp, "--n-max", n_max, "--dt", "1e-3",
+                  "--T", "0.01", "--out-dir", tmp_path, "--out", "t.jsonl"])
+        assert rc == 0
+        tr = load_trajectory(tmp_path / "t.jsonl")
+        kept = {n: a for n, a in modes.items() if abs(n) <= n_max}
+        assert tr.n_max == n_max
+        assert np.array_equal(tr[0].coeffs, FourierState.from_modes(n_max, kept).coeffs)
+
     def test_missing_required_exits_1(self, tmp_path, capsys):
         rc = run(["simulate", "--n-max", 4, "--out-dir", tmp_path])
         assert rc == 1
@@ -182,6 +196,11 @@ class TestSimulate:
         cfgf.write_text("[simulate]\nn_max = 4\ndt = 1e-3\nT = 0.01\ntruncation = 0\n")
         assert run(["simulate", "--config", cfgf, "--out-dir", tmp_path]) == 1
         assert "unknown key 'truncation' in [simulate]" in capsys.readouterr().err
+
+    def test_missing_config_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "nope.ini"
+        assert run(["simulate", "--config", missing, "--out-dir", tmp_path]) == 1
+        assert "config file not found" in capsys.readouterr().err
 
     def test_config_file_run(self, tmp_path):
         cfgf = tmp_path / "c.ini"

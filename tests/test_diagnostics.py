@@ -192,6 +192,10 @@ class TestYsbNorm:
         with pytest.raises(ValueError):
             SpaceTimeField(tr)
 
+    def test_unknown_window(self):
+        with pytest.raises(ValueError, match="unknown window 'hann'"):
+            SpaceTimeField(self._traj(), "hann")
+
     def test_b0_is_tapered_parseval(self):
         tr = self._traj()
         field = SpaceTimeField(tr, "cosine")

@@ -49,6 +49,10 @@ class TestProfiles:
         spec = ProfileSpec(ProfileKind.EXP_DECAY, 1.0, 0.3, seed=5)
         assert np.array_equal(spec.build(8).coeffs, spec.build(8).coeffs)
 
+    def test_single_mode_outside_truncation(self):
+        with pytest.raises(ValueError, match="single mode outside truncation"):
+            ProfileSpec(ProfileKind.SINGLE_MODE, mode=6).build(5)
+
 
 class TestFitDecayRate:
     def test_exact_power_law(self):
@@ -80,12 +84,6 @@ class TestReports:
         rep.stamp(deterministic=False)
         assert rep.created > 0.0
 
-    def test_save_records_artifact(self, tmp_path):
-        rep = ExperimentReport("demo", {}, [])
-        p = tmp_path / "r.json"
-        rep.save_json(p)
-        assert str(p) in rep.artifacts
-        assert json.loads(p.read_text())["kind"] == "demo"
 
 
 PROFILE = ProfileSpec(ProfileKind.EXP_DECAY, 1.0, 0.3, seed=2)
@@ -132,6 +130,18 @@ class TestPerturbation:
         d = high_frequency_perturbation(np.random.default_rng(0), 4, 10, 0.25)
         assert np.all(d.coeffs[np.abs(d.modes) <= 4] == 0.0)
         assert np.isclose(d.l2_norm(), 0.25, rtol=1e-12)
+
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError, match="empty perturbation support"):
+            high_frequency_perturbation(np.random.default_rng(0), 10, 10, 0.25)
+
+    @pytest.mark.parametrize("steps, stride", [
+        (0, 1), (49, 1), (50, 1), (97, 1), (100, 2), (200, 4), (210, 3)])
+    def test_sample_stride_keeps_fifty_samples(self, steps, stride):
+        # the largest divisor of the step count that leaves >= 50 samples, else 1
+        dt = 2.0**-10
+        rep = run_perturbation_study(PROFILE, [1], 0.05, steps * dt, dt, trials=1)
+        assert rep.params["sample_stride"] == stride
 
     def test_zero_norm_perturbation_gives_zero_divergence(self):
         profile = ProfileSpec(ProfileKind.EXP_DECAY, 1.0, 0.3, seed=2)
@@ -182,6 +192,8 @@ class TestSqueeze:
             run_squeeze_probe(u, 1.0, 0.5, 1, 0j, 0.1, 4, 1e-2, epsilon=0.3)
         with pytest.raises(ValueError):
             run_squeeze_probe(u, 1.0, 0.5, 9, 0j, 0.1, 4, 1e-2)  # |n0| > N
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            run_squeeze_probe(u, 1.0, 0.5, 1, 0j, 0.1, 4, 1e-2, samples=0)
 
     def test_linear_flow_margin_exact(self):
         rep = run_squeeze_probe(FourierState.zeros(6), 1.0, 0.5, 2, 0j,

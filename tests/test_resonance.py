@@ -180,6 +180,10 @@ class TestNormalFormBoundary:
         u = FourierState.from_modes(2, {0: 1.0, 1: 1.0, 2: 1.0})
         assert np.isclose(normal_form_boundary(u, 1), -1j / 7, atol=1e-15)
 
+    def test_frequency_beyond_n_max(self):
+        with pytest.raises(ValueError, match="exceeds state n_max=2"):
+            normal_form_boundary(FourierState.zeros(2), -3)
+
     @pytest.mark.parametrize("n_max", [4, 12])
     def test_against_direct_sum(self, n_max):
         # oracle: plain triple scan over the box with exact H

@@ -107,6 +107,8 @@ class TestFourierState:
     def test_analyze_grid_too_short(self):
         with pytest.raises(ValueError):
             analyze(np.zeros(4, dtype=complex), 2)
+        with pytest.raises(ValueError, match="grid of 4 samples too short for n_max=2"):
+            synthesize(FourierState.zeros(2), 4)
 
 
 class TestDyadicBlocks:
@@ -130,6 +132,18 @@ class TestDyadicBlocks:
         mask = b.mask(20)
         for i, n in enumerate(range(-20, 21)):
             assert mask[i] == b.contains(n)
+
+    @pytest.mark.parametrize("level", [1, 2, 4, 16])
+    def test_contains_on_an_array_equals_the_int_loop(self, level):
+        b = DyadicBlock(level)
+        ns = np.arange(-40, 41)
+        assert b.contains(ns).tolist() == [b.contains(int(n)) for n in ns]
+        assert type(b.contains(3)) is bool
+
+    def test_blocks_covering_levels(self):
+        for n_max in range(301):
+            levels = [b.level for b in blocks_covering(n_max)]
+            assert levels == [2**j for j in range(12) if 2**j // 2 <= n_max]
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=30, deadline=None)
@@ -157,6 +171,10 @@ class TestProjections:
     def test_project_leq_keeps_radius(self):
         u = random_state(6, seed=3, norm=None)
         assert project_leq(u, 2).n_max == 6
+
+    def test_project_leq_rejects_negative_cutoff(self):
+        with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+            project_leq(random_state(6, seed=3, norm=None), -1)
 
     @pytest.mark.parametrize("cutoff", [6, 9])
     def test_project_leq_at_or_above_radius_is_identity(self, cutoff):
@@ -339,3 +357,11 @@ class TestFileFormats:
         p.write_text("".join(ln + "\n" for ln in lines))
         with pytest.raises(FileFormatError, match=re.escape(str(p))):
             load(p)
+
+    def test_ragged_coeffs_name_the_record(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        ragged = REC0.replace('"k": 0', '"k": 1').replace("[0.0, 0.0]", "[0.0]")
+        p.write_text(f"{HEADER}\n{REC0}\n{ragged}\n")
+        message = re.escape(f"{p}: record 1: malformed coeffs")
+        with pytest.raises(FileFormatError, match=message):
+            load_trajectory(p)
