@@ -89,73 +89,6 @@ _PROFILE_KEYS = {
     "mode": (int, 0, None),
 }
 
-_SCHEMAS = {
-    "simulate": {
-        "equation": (str, "full", _choices(Kind)),
-        "n_max": (int, None, POSITIVE),
-        "dt": (float, None, POSITIVE),
-        "T": (float, None, POSITIVE),
-        "scheme": (str, "exp_rk4", _choices(Scheme)),
-        "stride": (int, 1, POSITIVE),
-        **_PROFILE_KEYS,
-        "state": (str, "", None),
-        "out": (str, "trajectory.jsonl", None),
-    },
-    "gauge-check": {
-        "n_max": (int, 32, POSITIVE),
-        "dt": (float, 1e-3, POSITIVE),
-        "T": (float, 1.0, POSITIVE),
-        "stride": (int, 1, POSITIVE),
-        **_PROFILE_KEYS,
-        "state": (str, "", None),
-        "out": (str, "gauge_gap.csv", None),
-    },
-    "resonance": {
-        "max": (int, None, POSITIVE),
-        "out": (str, "resonance.csv", None),
-    },
-    "norms": {
-        "traj": (str, None, None),
-        "s": (float, 0.0, None),
-        "b": (float, 0.5, None),
-        "window": (str, "cosine", frozenset({"cosine", "rect"})),
-        "phase": (str, "plain", frozenset({"plain", "modified"})),
-        "out": (str, "norms", None),
-    },
-    "approx": {
-        "ladder": (IntList, IntList("16,32,64,128"), None),
-        "ref_factor": (int, 4, POSITIVE),
-        "T": (float, 0.5, POSITIVE),
-        "dt": (float, 5e-4, POSITIVE),
-        **_PROFILE_KEYS,
-        "out": (str, "approx_report.json", None),
-    },
-    "perturb": {
-        "ladder": (IntList, IntList("16,32,64"), None),
-        "perturbation_norm": (float, 0.1, POSITIVE),
-        "T": (float, 0.5, POSITIVE),
-        "dt": (float, 5e-4, POSITIVE),
-        "trials": (int, 4, POSITIVE),
-        **_PROFILE_KEYS,
-        "out": (str, "perturb_report.json", None),
-    },
-    "squeeze": {
-        "equation": (str, "full", _choices(Kind)),
-        "R": (float, 1.0, POSITIVE),
-        "r": (float, 0.5, POSITIVE),
-        "n0": (int, 1, None),
-        "z_re": (float, 0.0, None),
-        "z_im": (float, 0.0, None),
-        "T": (float, 0.3, NONNEG),
-        "N": (int, 16, POSITIVE),
-        "dt": (float, 1e-3, POSITIVE),
-        "samples": (int, 64, POSITIVE),
-        "epsilon": (float, 0.1, POSITIVE),
-        "out": (str, "squeeze_report.json", None),
-    },
-}
-
-
 def _coerce(key, typ, raw):
     try:
         value = typ(raw)
@@ -168,7 +101,7 @@ def _coerce(key, typ, raw):
 
 def parse_config(subcommand: str, config_path: str | None, flags: dict) -> RunConfig:
     """Merge defaults, config-file keys, and flag overrides into a RunConfig."""
-    schema = {**_COMMON_KEYS, **_SCHEMAS[subcommand]}
+    schema = {**_COMMON_KEYS, **_SUBCOMMANDS[subcommand][1]}
 
     merged = {}
     if config_path:
@@ -205,15 +138,15 @@ def _profile_from(v: dict) -> ProfileSpec:
                        v["seed"], v["mode"])
 
 
-def _initial_state(v: dict, n_max: int):
+def _initial_state(v: dict):
     if v.get("state"):
-        return load_state(v["state"]).truncate_to(n_max)
-    return _profile_from(v).build(n_max)
+        return load_state(v["state"]).truncate_to(v["n_max"])
+    return _profile_from(v).build(v["n_max"])
 
 
-def _out(cfg: RunConfig, name: str) -> str:
+def _out(cfg: RunConfig) -> str:
     os.makedirs(cfg.values["out_dir"], exist_ok=True)
-    return os.path.join(cfg.values["out_dir"], name)
+    return os.path.join(cfg.values["out_dir"], cfg.values["out"])
 
 
 def _write_csv(path, header, rows):
@@ -223,28 +156,27 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _emit_report(cfg: RunConfig, report: experiments.ExperimentReport,
-                 columns: list) -> str:
+def _emit_report(cfg: RunConfig, report: experiments.ExperimentReport) -> str:
     """Write the report as <out> (json), <out>.csv (csv) or both; return the
     JSON path, or the CSV path when only that is written."""
     report.stamp(cfg.deterministic)
     report.params["config_echo"] = cfg.echo()
-    fmt, path = cfg.values["format"], _out(cfg, cfg.values["out"])
+    fmt, path = cfg.values["format"], _out(cfg)
     csv_path = os.path.splitext(path)[0] + ".csv"
     if fmt != "csv":
         report.save_json(path)
     if fmt != "json":
-        _write_csv(csv_path, columns, ([row[c] for c in columns] for row in report.table))
+        _write_csv(csv_path, list(report.table[0]), (row.values() for row in report.table))
     return csv_path if fmt == "csv" else path
 
 
 def _cmd_simulate(cfg: RunConfig) -> str:
     v = cfg.values
-    u0 = _initial_state(v, v["n_max"])
+    u0 = _initial_state(v)
     spec = IntegratorSpec(Scheme(v["scheme"]), v["dt"])
     traj = integrate(u0, v["T"], spec,
                      EquationKind(Kind(v["equation"]), v["mu"]), v["stride"])
-    path = _out(cfg, v["out"])
+    path = _out(cfg)
     save_trajectory(traj, path)
     return (f"simulate: {v['equation']} n_max={v['n_max']} T={v['T']} "
             f"steps={spec.steps(v['T'])} mass={diagnostics.mass(traj[-1]):.6e} -> {path}")
@@ -252,10 +184,10 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 
 def _cmd_gauge_check(cfg: RunConfig) -> str:
     v = cfg.values
-    u0 = _initial_state(v, v["n_max"])
+    u0 = _initial_state(v)
     rep = gauge.gauge_equivalence_check(u0, v["T"], v["dt"], mu_sign=v["mu"],
                                         sample_stride=v["stride"])
-    path = _out(cfg, v["out"])
+    path = _out(cfg)
     _write_csv(path, ["t", "gap", "aligned_gap"],
                zip(rep.times, rep.gaps, rep.aligned_gaps))
     return f"gauge-check: n_max={v['n_max']} T={v['T']} max_gap={rep.max_gap:.3e} -> {path}"
@@ -263,7 +195,7 @@ def _cmd_gauge_check(cfg: RunConfig) -> str:
 
 def _cmd_resonance(cfg: RunConfig) -> str:
     v = cfg.values
-    path = _out(cfg, v["out"])
+    path = _out(cfg)
     _write_csv(path, ["n1", "n2", "n3", "n", "H", "factored_H"],
                resonance.resonance_table_rows(v["max"]))
     count = (2 * v["max"] + 1) ** 3
@@ -279,7 +211,7 @@ def _cmd_norms(cfg: RunConfig) -> str:
     z_value = diagnostics.ysb_norm(field_, v["s"], v["b"], phase, z_part=True)
     gaps = diagnostics.smoothing_gap(traj)
     blocks = diagnostics.dyadic_gap_profile(traj, v["s"])
-    base = _out(cfg, v["out"])
+    base = _out(cfg)
     doc = {
         "ysb_norm": value,
         "z_l2l1_part": z_value,
@@ -308,7 +240,7 @@ def _cmd_approx(cfg: RunConfig) -> str:
     ladder = v["ladder"].ints
     report = experiments.run_approximation_study(
         _profile_from(v), ladder, v["ref_factor"], v["T"], v["dt"], mu_sign=v["mu"])
-    path = _emit_report(cfg, report, ["N", "error"])
+    path = _emit_report(cfg, report)
     sigma = report.fitted["rate"] if report.fitted else float("nan")
     return f"approx: ladder={ladder} fitted_rate={sigma:.3f} -> {path}"
 
@@ -319,7 +251,7 @@ def _cmd_perturb(cfg: RunConfig) -> str:
     report = experiments.run_perturbation_study(
         _profile_from(v), ladder, v["perturbation_norm"], v["T"], v["dt"],
         trials=v["trials"], seed=v["seed"], mu_sign=v["mu"])
-    path = _emit_report(cfg, report, ["N_prime", "divergence"])
+    path = _emit_report(cfg, report)
     divs = [r["divergence"] for r in report.table]
     return f"perturb: ladder={ladder} divergences={divs} -> {path}"
 
@@ -331,20 +263,77 @@ def _cmd_squeeze(cfg: RunConfig) -> str:
         u_star, v["R"], v["r"], v["n0"], complex(v["z_re"], v["z_im"]),
         v["T"], v["N"], v["dt"], v["samples"], v["epsilon"],
         seed=v["seed"], mu_sign=v["mu"], kind=Kind(v["equation"]))
-    path = _emit_report(cfg, report, ["label", "radius", "margin"])
+    path = _emit_report(cfg, report)
     best = report.fitted
     return (f"squeeze: best_margin={best['best_margin']:.6f} "
             f"witness={'yes' if best['witness_found'] else 'no'} -> {path}")
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "gauge-check": _cmd_gauge_check,
-    "resonance": _cmd_resonance,
-    "norms": _cmd_norms,
-    "approx": _cmd_approx,
-    "perturb": _cmd_perturb,
-    "squeeze": _cmd_squeeze,
+# subcommand -> (handler, its keys beyond _COMMON_KEYS)
+_SUBCOMMANDS = {
+    "simulate": (_cmd_simulate, {
+        "equation": (str, "full", _choices(Kind)),
+        "n_max": (int, None, POSITIVE),
+        "dt": (float, None, POSITIVE),
+        "T": (float, None, POSITIVE),
+        "scheme": (str, "exp_rk4", _choices(Scheme)),
+        "stride": (int, 1, POSITIVE),
+        **_PROFILE_KEYS,
+        "state": (str, "", None),
+        "out": (str, "trajectory.jsonl", None),
+    }),
+    "gauge-check": (_cmd_gauge_check, {
+        "n_max": (int, 32, POSITIVE),
+        "dt": (float, 1e-3, POSITIVE),
+        "T": (float, 1.0, POSITIVE),
+        "stride": (int, 1, POSITIVE),
+        **_PROFILE_KEYS,
+        "state": (str, "", None),
+        "out": (str, "gauge_gap.csv", None),
+    }),
+    "resonance": (_cmd_resonance, {
+        "max": (int, None, POSITIVE),
+        "out": (str, "resonance.csv", None),
+    }),
+    "norms": (_cmd_norms, {
+        "traj": (str, None, None),
+        "s": (float, 0.0, None),
+        "b": (float, 0.5, None),
+        "window": (str, "cosine", frozenset({"cosine", "rect"})),
+        "phase": (str, "plain", frozenset({"plain", "modified"})),
+        "out": (str, "norms", None),
+    }),
+    "approx": (_cmd_approx, {
+        "ladder": (IntList, IntList("16,32,64,128"), None),
+        "ref_factor": (int, 4, POSITIVE),
+        "T": (float, 0.5, POSITIVE),
+        "dt": (float, 5e-4, POSITIVE),
+        **_PROFILE_KEYS,
+        "out": (str, "approx_report.json", None),
+    }),
+    "perturb": (_cmd_perturb, {
+        "ladder": (IntList, IntList("16,32,64"), None),
+        "perturbation_norm": (float, 0.1, POSITIVE),
+        "T": (float, 0.5, POSITIVE),
+        "dt": (float, 5e-4, POSITIVE),
+        "trials": (int, 4, POSITIVE),
+        **_PROFILE_KEYS,
+        "out": (str, "perturb_report.json", None),
+    }),
+    "squeeze": (_cmd_squeeze, {
+        "equation": (str, "full", _choices(Kind)),
+        "R": (float, 1.0, POSITIVE),
+        "r": (float, 0.5, POSITIVE),
+        "n0": (int, 1, None),
+        "z_re": (float, 0.0, None),
+        "z_im": (float, 0.0, None),
+        "T": (float, 0.3, NONNEG),
+        "N": (int, 16, POSITIVE),
+        "dt": (float, 1e-3, POSITIVE),
+        "samples": (int, 64, POSITIVE),
+        "epsilon": (float, 0.1, POSITIVE),
+        "out": (str, "squeeze_report.json", None),
+    }),
 }
 
 
@@ -358,14 +347,14 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="4nls", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, schema in _SCHEMAS.items():
+    for name, (_, keys) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         if name == "resonance":
             sp.add_argument("table_word", metavar="table", choices=["table"],
                             help="emit the resonance CSV table")
         sp.add_argument("--config", default=None)
         sp.add_argument("--deterministic", action="store_true")
-        for key in {**_COMMON_KEYS, **schema}:
+        for key in {**_COMMON_KEYS, **keys}:
             sp.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     return parser
 
@@ -380,7 +369,7 @@ def parse_argv(argv=None) -> RunConfig:
 def main(argv=None) -> int:
     try:
         cfg = parse_argv(argv)
-        print(_HANDLERS[cfg.subcommand](cfg))
+        print(_SUBCOMMANDS[cfg.subcommand][0](cfg))
     except NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,12 +58,17 @@ class ProfileSpec:
         ns = np.arange(-n_max, n_max + 1)
         rng = derive_rng(self.seed, "profile", self.kind.value)
         phases = np.exp(2j * np.pi * rng.random(2 * n_max + 1))
-        if self.kind is ProfileKind.EXP_DECAY:
-            mag = np.exp(-self.decay * np.abs(ns))
-        else:
-            mag = (1.0 + np.abs(ns)) ** (-self.decay)
-        c = mag * phases
-        c *= self.amplitude / np.linalg.norm(c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind is ProfileKind.EXP_DECAY:
+                mag = np.exp(-self.decay * np.abs(ns))
+            else:
+                mag = (1.0 + np.abs(ns)) ** (-self.decay)
+            c = mag * phases
+            norm = np.linalg.norm(c)
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"{self.kind.value} profile cannot be normalised at "
+                             f"decay={self.decay}")
+        c *= self.amplitude / norm
         return FourierState(n_max, c)
 
 
@@ -254,6 +259,7 @@ def run_squeeze_probe(u_star: FourierState, R: float, r: float, n0: int,
         raise ValueError("|n0| must be <= N")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    z = complex(z)
     eq = EquationKind(kind, mu_sign)
     base = u_star.truncate_to(N)
     spec = IntegratorSpec(Scheme.EXP_RK4, dt)
@@ -290,7 +296,7 @@ def run_squeeze_probe(u_star: FourierState, R: float, r: float, n0: int,
         "R": R,
         "r": r,
         "n0": n0,
-        "z": [z.real, z.imag] if isinstance(z, complex) else [float(z), 0.0],
+        "z": [z.real, z.imag],
         "T": T,
         "N": N,
         "dt": dt,
@@ -300,10 +306,8 @@ def run_squeeze_probe(u_star: FourierState, R: float, r: float, n0: int,
         "mu": mu_sign,
         "equation": kind.value,
     }
-    report = ExperimentReport("squeeze_probe", params, table)
-    report.fitted = {
+    return ExperimentReport("squeeze_probe", params, table, {
         "best_label": best["label"],
         "best_margin": best["margin"],
         "witness_found": best["margin"] > 0.0,
-    }
-    return report
+    })

@@ -26,7 +26,7 @@ def gauge_apply(u, t, mass0: float, mu_sign: int = 1):
 
 def gauge_invert(v, t, mass0: float, mu_sign: int = 1):
     """Exact inverse phase: gauge_invert(gauge_apply(u)) == u."""
-    return gauge_apply(v, -t, mass0, mu_sign)
+    return gauge_apply(v, -np.asarray(t), mass0, mu_sign)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fournls.cli import ConfigError, main, parse_argv, parse_config
+from fournls.cli import _SUBCOMMANDS, ConfigError, main, parse_argv, parse_config
 from fournls.dynamics import EquationKind, IntegratorSpec, Kind, Scheme, integrate
 from fournls.experiments import ProfileKind, ProfileSpec
 from fournls.spectrum import load_trajectory, save_state, FourierState
@@ -186,6 +186,13 @@ class TestSimulate:
         assert run([*args, "--T", "0.002", "--dt", "1e-3", "--out-dir", tmp_path]) == 1
         assert capsys.readouterr().err.startswith("config error: N ladder must be")
 
+    def test_unnormalisable_profile_exits_1(self, tmp_path, capsys):
+        assert run(["simulate", "--n-max", 8, "--dt", "1e-3", "--T", "0.01",
+                    "--decay", "-1000", "--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "decay" in err
+        assert "RuntimeWarning" not in err
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--help"])
@@ -294,13 +301,21 @@ class TestExperimentSubcommands:
         assert doc["created"] == 0.0
         assert doc["params"]["config_echo"]["subcommand"] == "approx"
 
-    def test_approx_csv_output(self, tmp_path):
-        assert run(["approx", "--ladder", "6,8", "--ref-factor", 2,
-                    "--T", "0.01", "--dt", "1e-3", "--format", "both",
-                    "--out-dir", tmp_path, "--out", "a.json"]) == 0
-        with open(tmp_path / "a.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [int(r["N"]) for r in rows] == [6, 8]
+    @pytest.mark.parametrize("args", [
+        ["approx", "--ladder", "6,8", "--ref-factor", 2, "--T", "0.01", "--dt", "1e-3"],
+        ["perturb", "--ladder", "4,6", "--T", "0.01", "--dt", "1e-3", "--trials", 2],
+        ["squeeze", "--N", 6, "--T", "0.05", "--dt", "1e-2", "--samples", 12],
+    ], ids=["approx", "perturb", "squeeze"])
+    def test_report_csv_output(self, tmp_path, args):
+        # the CSV is the JSON report's table (whose keys JSON sorts), one line per row
+        assert run([*args, "--format", "both", "--out-dir", tmp_path,
+                    "--out", "r.json"]) == 0
+        table = json.loads((tmp_path / "r.json").read_text())["table"]
+        with open(tmp_path / "r.csv") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert sorted(reader.fieldnames) == list(table[0])
+        assert rows == [{k: str(v) for k, v in row.items()} for row in table]
 
     def test_approx_csv_format_writes_no_json(self, tmp_path, capsys):
         assert run(["approx", "--ladder", "6,8", "--ref-factor", 2,
@@ -353,3 +368,4 @@ def test_readme_command_lines_parse():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert parse_argv(argv).subcommand == argv[0]
+    assert {shlex.split(line)[1] for line in lines} == set(_SUBCOMMANDS)

@@ -49,6 +49,15 @@ class TestProfiles:
         spec = ProfileSpec(ProfileKind.EXP_DECAY, 1.0, 0.3, seed=5)
         assert np.array_equal(spec.build(8).coeffs, spec.build(8).coeffs)
 
+    @pytest.mark.parametrize("kind, decay", [
+        (ProfileKind.EXP_DECAY, -1000.0),
+        (ProfileKind.POWER_DECAY, -1000.0),
+        (ProfileKind.EXP_DECAY, math.nan),
+    ])
+    def test_unnormalisable_profile_names_decay(self, kind, decay):
+        with pytest.raises(ValueError, match=f"{kind.value} profile .*decay="):
+            ProfileSpec(kind, decay=decay).build(8)
+
     def test_single_mode_outside_truncation(self):
         with pytest.raises(ValueError, match="single mode outside truncation"):
             ProfileSpec(ProfileKind.SINGLE_MODE, mode=6).build(5)
@@ -181,6 +190,26 @@ class TestApproximation:
         for ra, rb in zip(a.table, b.table):
             if ra["error"] > 1e-12:
                 assert abs(ra["error"] - rb["error"]) < 0.1 * ra["error"]
+
+    def test_decay_in_n_where_dt_converged(self):
+        """Where the study measures truncation, not Lawson RK4's time step,
+        error(N) decreases in N. Ladder (2, 4, 8), T = 0.05, ref x4,
+        exp-decay 0.05, amplitude 1, seed 0 (numpy 2.4.6):
+
+            | dt   | error(2) | error(4) | error(8) | fitted sigma |
+            | 1e-4 | 5.768e-5 | 1.210e-5 | 3.346e-6 | 2.05         |
+            | 5e-5 | 5.768e-5 | 1.210e-5 | 3.471e-6 | 2.03         |
+
+        Halving dt moves the errors by 0.00%, 0.00% and 3.73%. The top rung
+        of (4, 8, 16) or (8, 16, 32) still moves 38-51% at dt = 2.5e-5.
+        """
+        profile = ProfileSpec(ProfileKind.EXP_DECAY, 1.0, 0.05, seed=0)
+        errors = [[r["error"] for r in run_approximation_study(
+            profile, [2, 4, 8], 4, 0.05, dt).table] for dt in (1e-4, 5e-5)]
+        for coarse, fine in zip(*errors):
+            assert abs(coarse - fine) < 0.1 * coarse
+        for errs in errors:
+            assert errs[0] > errs[1] > errs[2]
 
 
 class TestSqueeze:

@@ -18,6 +18,11 @@ class TestGaugeTransform:
         back = gauge_invert(v, 0.37, 0.8, mu_sign=-1)
         assert np.allclose(back.coeffs, u.coeffs, atol=1e-15)
 
+    def test_round_trip_rows_with_a_list_of_times(self):
+        rows = np.stack([random_state(4, seed=1).coeffs, random_state(4, seed=2).coeffs])
+        v = gauge_apply(rows, [0.1, 0.2], 0.8)
+        assert np.allclose(gauge_invert(v, [0.1, 0.2], 0.8), rows, atol=1e-15)
+
     def test_pure_phase(self):
         u = random_state(4, seed=2)
         v = gauge_apply(u, 1.3, 0.9)
