@@ -74,12 +74,12 @@ class IntList(str):
 
 
 # key -> (type, default, rule); None default means required
-_COMMON_KEYS = {
-    "seed": (int, 0, NONNEG),
-    "out_dir": (str, ".", None),
-    "format": (str, "json", frozenset({"json", "csv", "both"})),
-    "mu": (int, 1, frozenset({-1, 0, 1})),
-}
+_COMMON_KEYS = {"out_dir": (str, ".", None)}
+
+# the draw seed and nonlinearity sign of each subcommand that evolves a datum,
+# and the file format of each that writes a study report
+_FLOW_KEYS = {"seed": (int, 0, NONNEG), "mu": (int, 1, frozenset({-1, 0, 1}))}
+_FORMAT_KEYS = {"format": (str, "json", frozenset({"json", "csv", "both"}))}
 
 # the initial-datum family shared by every subcommand that builds one
 _PROFILE_KEYS = {
@@ -100,8 +100,10 @@ def _coerce(key, typ, raw):
 
 
 def parse_config(subcommand: str, config_path: str | None, flags: dict) -> RunConfig:
-    """Merge defaults, config-file keys, and flag overrides into a RunConfig."""
+    """Merge defaults, config-file keys, and flag overrides into a RunConfig.
+    A [common] key must be declared by some subcommand and sets only those."""
     schema = {**_COMMON_KEYS, **_SUBCOMMANDS[subcommand][1]}
+    declared = {key for _, keys in _SUBCOMMANDS.values() for key in keys}
 
     merged = {}
     if config_path:
@@ -113,9 +115,10 @@ def parse_config(subcommand: str, config_path: str | None, flags: dict) -> RunCo
             for section in ("common", subcommand):
                 if parser.has_section(section):
                     for key, raw in parser.items(section):
-                        if key not in schema:
+                        if key in schema:
+                            merged[key] = raw
+                        elif section != "common" or key not in declared:
                             raise ConfigError(f"unknown key {key!r} in [{section}]")
-                        merged[key] = raw
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {config_path}: {exc}") from None
     for key, val in flags.items():
@@ -163,6 +166,8 @@ def _emit_report(cfg: RunConfig, report: experiments.ExperimentReport) -> str:
     report.params["config_echo"] = cfg.echo()
     fmt, path = cfg.values["format"], _out(cfg)
     csv_path = os.path.splitext(path)[0] + ".csv"
+    if fmt == "both" and csv_path == path:
+        raise ConfigError(f"out must not end in .csv under format both, got {path!r}")
     if fmt != "csv":
         report.save_json(path)
     if fmt != "json":
@@ -278,7 +283,7 @@ _SUBCOMMANDS = {
         "T": (float, None, POSITIVE),
         "scheme": (str, "exp_rk4", _choices(Scheme)),
         "stride": (int, 1, POSITIVE),
-        **_PROFILE_KEYS,
+        **_FLOW_KEYS, **_PROFILE_KEYS,
         "state": (str, "", None),
         "out": (str, "trajectory.jsonl", None),
     }),
@@ -287,7 +292,7 @@ _SUBCOMMANDS = {
         "dt": (float, 1e-3, POSITIVE),
         "T": (float, 1.0, POSITIVE),
         "stride": (int, 1, POSITIVE),
-        **_PROFILE_KEYS,
+        **_FLOW_KEYS, **_PROFILE_KEYS,
         "state": (str, "", None),
         "out": (str, "gauge_gap.csv", None),
     }),
@@ -302,13 +307,14 @@ _SUBCOMMANDS = {
         "window": (str, "cosine", frozenset({"cosine", "rect"})),
         "phase": (str, "plain", frozenset({"plain", "modified"})),
         "out": (str, "norms", None),
+        "seed": _FLOW_KEYS["seed"],  # read by no handler; perfbench passes --seed
     }),
     "approx": (_cmd_approx, {
         "ladder": (IntList, IntList("16,32,64,128"), None),
         "ref_factor": (int, 4, POSITIVE),
         "T": (float, 0.5, POSITIVE),
         "dt": (float, 5e-4, POSITIVE),
-        **_PROFILE_KEYS,
+        **_FLOW_KEYS, **_PROFILE_KEYS, **_FORMAT_KEYS,
         "out": (str, "approx_report.json", None),
     }),
     "perturb": (_cmd_perturb, {
@@ -317,7 +323,7 @@ _SUBCOMMANDS = {
         "T": (float, 0.5, POSITIVE),
         "dt": (float, 5e-4, POSITIVE),
         "trials": (int, 4, POSITIVE),
-        **_PROFILE_KEYS,
+        **_FLOW_KEYS, **_PROFILE_KEYS, **_FORMAT_KEYS,
         "out": (str, "perturb_report.json", None),
     }),
     "squeeze": (_cmd_squeeze, {
@@ -332,6 +338,7 @@ _SUBCOMMANDS = {
         "dt": (float, 1e-3, POSITIVE),
         "samples": (int, 64, POSITIVE),
         "epsilon": (float, 0.1, POSITIVE),
+        **_FLOW_KEYS, **_FORMAT_KEYS,
         "out": (str, "squeeze_report.json", None),
     }),
 }

@@ -94,8 +94,10 @@ class ModifiedPhase:
         return float(n) ** 4 + self.weight(n)
 
     def mu_array(self, n_max: int) -> np.ndarray:
-        """mu(n) for n = -n_max..n_max; requires n_max <= reference n_max."""
-        self.weight(n_max)  # raises ValueError beyond the reference support
+        """mu(n) for n = -n_max..n_max; requires 0 <= n_max <= reference n_max."""
+        if not 0 <= n_max <= self.reference.n_max:
+            raise ValueError(
+                f"n_max must be in 0..{self.reference.n_max}, got {n_max}")
         c0 = resize(self.reference.coeffs, n_max)
         return np.arange(-n_max, n_max + 1, dtype=np.float64) ** 4 + np.abs(c0) ** 2
 

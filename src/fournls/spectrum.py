@@ -51,8 +51,10 @@ class FourierState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be nonnegative, got {self.n_max}")
+        n = self.n_max
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"n_max must be a nonnegative integer, got {n!r}")
+        object.__setattr__(self, "n_max", int(n))
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.shape != (2 * self.n_max + 1,):
             raise ValueError(

@@ -93,6 +93,26 @@ class TestParseConfig:
                     "--out-dir", tmp_path]) == 1
         assert capsys.readouterr().err.startswith(f"config error: malformed config file {p}")
 
+    def test_common_key_applies_only_where_declared(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text("[common]\nmu = -1\nformat = csv\nn_max = 8\n")
+        assert run(["resonance", "table", "--config", p, "--max", 1,
+                    "--out-dir", tmp_path]) == 0
+        squeeze = parse_config("squeeze", str(p), {}).values
+        assert squeeze["mu"] == -1 and squeeze["format"] == "csv"
+        assert "n_max" not in squeeze
+
+    @pytest.mark.parametrize("text, key", [
+        ("[common]\nbogus = 1\n", "'bogus' in [common]"),
+        ("[resonance]\nmu = 1\n", "'mu' in [resonance]"),
+    ], ids=["common-bogus", "resonance-mu"])
+    def test_undeclared_key_exits_1(self, tmp_path, capsys, text, key):
+        p = tmp_path / "c.ini"
+        p.write_text(text)
+        assert run(["resonance", "table", "--config", p, "--max", 1,
+                    "--out-dir", tmp_path]) == 1
+        assert f"unknown key {key}" in capsys.readouterr().err
+
     def test_config_echo_contains_effective_values(self):
         cfg = parse_config("resonance", None, {"max": "5"})
         echo = cfg.echo()
@@ -113,6 +133,46 @@ def test_every_enum_value_reaches_the_handler(tmp_path, key, value):
     expected = integrate(u0, 0.005, IntegratorSpec(Scheme(opts["scheme"]), 1e-3),
                          EquationKind(Kind(opts["equation"])), 1)
     assert np.array_equal(load_trajectory(tmp_path / "t.jsonl").coeffs, expected.coeffs)
+
+
+class _ReadRecorder(dict):
+    """A values dict that records every key a handler reads."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+_SMALL_RUNS = {
+    "simulate": ["--n-max", 4, "--dt", "1e-3", "--T", "0.01", "--out", "t.jsonl"],
+    "gauge-check": ["--n-max", 4, "--dt", "1e-3", "--T", "0.005"],
+    "resonance": ["table", "--max", 1],
+    "norms": ["--traj", "t.jsonl"],
+    "approx": ["--ladder", "4,6", "--ref-factor", 2, "--T", "0.01", "--dt", "1e-3"],
+    "perturb": ["--ladder", "4,6", "--T", "0.01", "--dt", "1e-3", "--trials", 2],
+    "squeeze": ["--N", 4, "--T", "0.01", "--dt", "1e-2", "--samples", 4],
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_SUBCOMMANDS))
+def test_every_declared_key_is_read(tmp_path, monkeypatch, subcommand):
+    assert set(_SMALL_RUNS) == set(_SUBCOMMANDS)
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", *_SMALL_RUNS["simulate"]]) == 0  # the datum norms reads
+    cfg = parse_argv([subcommand, *map(str, _SMALL_RUNS[subcommand])])
+    cfg.values = _ReadRecorder(cfg.values)
+    _SUBCOMMANDS[subcommand][0](cfg)
+    # norms declares seed only because perfbench passes --seed to it
+    unread = {"seed"} if subcommand == "norms" else set()
+    assert set(cfg.values) - cfg.values.read == unread
 
 
 class TestSimulate:
@@ -163,7 +223,17 @@ class TestSimulate:
         ["simulate", "--n-max", 4, "--dt", "1e-3", "--T", "0.01", "--truncation", 0],
         ["bogus"],
         ["resonance", "tabel", "--max", 2],
-    ], ids=["removed-flag", "unknown-subcommand", "bad-table-word"])
+        # flags a subcommand does not read are not declared
+        ["simulate", "--n-max", 4, "--dt", "1e-3", "--T", "0.01", "--format", "csv"],
+        ["gauge-check", "--format", "csv"],
+        ["resonance", "table", "--max", 1, "--format", "csv"],
+        ["resonance", "table", "--max", 1, "--seed", 1],
+        ["resonance", "table", "--max", 1, "--mu", 1],
+        ["norms", "--traj", "t.jsonl", "--format", "csv"],
+        ["norms", "--traj", "t.jsonl", "--mu", 1],
+    ], ids=["removed-flag", "unknown-subcommand", "bad-table-word",
+            "simulate-format", "gauge-check-format", "resonance-format",
+            "resonance-seed", "resonance-mu", "norms-format", "norms-mu"])
     def test_usage_error_exits_1(self, tmp_path, capsys, args):
         assert run([*args, "--out-dir", tmp_path]) == 1
         assert capsys.readouterr().err.startswith("config error: 4nls")
@@ -316,6 +386,13 @@ class TestExperimentSubcommands:
             rows = list(reader)
         assert sorted(reader.fieldnames) == list(table[0])
         assert rows == [{k: str(v) for k, v in row.items()} for row in table]
+
+    def test_both_formats_on_one_path_exits_1(self, tmp_path, capsys):
+        assert run(["squeeze", "--N", 4, "--T", "0.01", "--R", 0.5, "--r", 0.1,
+                    "--samples", 4, "--format", "both", "--out", "rep.csv",
+                    "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith("config error: out must not end")
+        assert list(tmp_path.iterdir()) == []
 
     def test_approx_csv_format_writes_no_json(self, tmp_path, capsys):
         assert run(["approx", "--ladder", "6,8", "--ref-factor", 2,

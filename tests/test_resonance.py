@@ -109,8 +109,9 @@ class TestModifiedPhase:
             phase.mu(3)
         with pytest.raises(ValueError):
             phase.weight(3)
-        with pytest.raises(ValueError):
-            phase.mu_array(3)
+        for n_max in (3, -1, -2):
+            with pytest.raises(ValueError, match="n_max must be in 0..2"):
+                phase.mu_array(n_max)
 
     def test_weight_is_exact_modulus_squared(self):
         # exactly |c0(n)|^2: going through mu(n) - n^4 loses digits at n = 200

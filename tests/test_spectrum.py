@@ -53,6 +53,15 @@ class TestFourierState:
         with pytest.raises(ValueError):
             FourierState(-1, np.zeros(1, dtype=complex))
 
+    @pytest.mark.parametrize("n_max, width", [(2.5, 6), (2.0, 5), (True, 3), ("2", 5)])
+    def test_n_max_must_be_an_integer(self, n_max, width):
+        with pytest.raises(ValueError, match="n_max must be a nonnegative integer"):
+            FourierState(n_max, np.zeros(width))
+
+    def test_numpy_integer_n_max_stored_as_int(self):
+        u = FourierState(np.int64(2), np.arange(5))
+        assert type(u.n_max) is int and u.mode(1) == 3
+
     def test_rejects_nonfinite(self):
         c = np.zeros(3, dtype=complex)
         c[1] = np.nan
