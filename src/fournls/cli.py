@@ -133,6 +133,8 @@ def parse_config(subcommand: str, config_path: str | None, flags: dict) -> RunCo
             raise ConfigError(f"missing required key {key!r} for {subcommand}")
         else:
             values[key] = default
+    if values.get("format") == "both" and os.path.splitext(values["out"])[1] == ".csv":
+        raise ConfigError(f"out must not end in .csv under format both, got {values['out']!r}")
     return RunConfig(subcommand, values, bool(flags.get("deterministic", False)))
 
 
@@ -166,8 +168,6 @@ def _emit_report(cfg: RunConfig, report: experiments.ExperimentReport) -> str:
     report.params["config_echo"] = cfg.echo()
     fmt, path = cfg.values["format"], _out(cfg)
     csv_path = os.path.splitext(path)[0] + ".csv"
-    if fmt == "both" and csv_path == path:
-        raise ConfigError(f"out must not end in .csv under format both, got {path!r}")
     if fmt != "csv":
         report.save_json(path)
     if fmt != "json":

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from scipy.fft import next_fast_len
+from scipy.fft._pocketfft.pypocketfft import c2c  # scipy.fft's kernel, undispatched
 
 STATE_FORMAT = "4nls-state/1"
 TRAJ_FORMAT = "4nls-traj/1"
@@ -195,9 +196,7 @@ def analyze(samples, n_max: int) -> FourierState:
         raise ValueError(
             f"grid of {m} samples too short for n_max={n_max}; need >= {2 * n_max + 1}"
         )
-    spec = fft(u) / m
-    ns = np.arange(-n_max, n_max + 1)
-    return FourierState(n_max, spec[..., ns % m])
+    return FourierState(n_max, from_grid(u.copy(), np.arange(-n_max, n_max + 1) % m) / m)
 
 
 def synthesize(state: FourierState, grid_size: int) -> np.ndarray:
@@ -214,10 +213,17 @@ def synthesize(state: FourierState, grid_size: int) -> np.ndarray:
 def to_grid(c, m: int, idx) -> np.ndarray:
     """Zero-pad the amplitudes c, shape (..., 2*n_max+1), onto the length-m
     FFT layout idx and transform the last axis to the physical grid
-    (without the factor m)."""
+    (without the factor m): scipy.fft.ifft, bit for bit."""
     spectrum = np.zeros(c.shape[:-1] + (m,), dtype=np.complex128)
     spectrum.T[idx] = c.T  # scatter along the last axis; cheaper than [..., idx]
-    return ifft(spectrum)
+    return c2c(spectrum, (-1,), False, 2, spectrum, 1)  # in place, 1/m, one thread
+
+
+def from_grid(g: np.ndarray, idx) -> np.ndarray:
+    """The modes at layout idx of the forward transform of the last axis
+    of g, a C-contiguous complex128 grid: scipy.fft.fft(g).take(idx,
+    axis=-1), bit for bit. Transforms in place, so g is overwritten."""
+    return c2c(g, (-1,), True, 0, g, 1).take(idx, axis=-1)
 
 
 def padded_grid_size(n_max: int) -> int:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fournls import experiments
 from fournls.cli import _SUBCOMMANDS, ConfigError, main, parse_argv, parse_config
 from fournls.dynamics import EquationKind, IntegratorSpec, Kind, Scheme, integrate
 from fournls.experiments import ProfileKind, ProfileSpec
@@ -263,6 +264,13 @@ class TestSimulate:
         assert err.startswith("config error") and "decay" in err
         assert "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("scheme", ["exp_rk4", "strang"])
+    def test_overflow_exits_2_with_only_the_error_line(self, tmp_path, capsys, scheme):
+        assert run(["simulate", "--n-max", 4, "--T", "0.01", "--dt", "1e-3",
+                    "--scheme", scheme, "--amplitude", "1e160",
+                    "--out-dir", tmp_path]) == 2
+        assert capsys.readouterr().err == "error: non-finite amplitudes after step 0\n"
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--help"])
@@ -387,7 +395,11 @@ class TestExperimentSubcommands:
         assert sorted(reader.fieldnames) == list(table[0])
         assert rows == [{k: str(v) for k, v in row.items()} for row in table]
 
-    def test_both_formats_on_one_path_exits_1(self, tmp_path, capsys):
+    def test_both_formats_on_one_path_exits_1(self, tmp_path, capsys, monkeypatch):
+        def probe(*args, **kwargs):
+            raise AssertionError("the probe ran before the config was refused")
+
+        monkeypatch.setattr(experiments, "run_squeeze_probe", probe)
         assert run(["squeeze", "--N", 4, "--T", "0.01", "--R", 0.5, "--r", 0.1,
                     "--samples", 4, "--format", "both", "--out", "rep.csv",
                     "--out-dir", tmp_path]) == 1

@@ -106,6 +106,17 @@ class TestCubicConvolution:
         with pytest.raises(ValueError):
             cubic_convolution(random_state(2), random_state(3), random_state(2))
 
+    @pytest.mark.parametrize("call", [
+        lambda u: cubic_convolution(u, u, u),
+        lambda u: rhs(u, FULL),
+        lambda u: rhs(u, WICK),
+    ], ids=["cubic_convolution", "rhs-full", "rhs-wick"])
+    def test_overflow_refused_without_warning(self, call):
+        # the non-finite product is refused at the FourierState boundary,
+        # and the overflow on the way raises no RuntimeWarning
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            call(FourierState(3, np.full(7, 1e160 + 0j)))
+
 
 class TestSplitting:
     @given(small_state)
@@ -234,6 +245,14 @@ class TestIntegrate:
         with pytest.raises(NumericFailure) as exc:
             integrate(u0, 10.0, IntegratorSpec(Scheme.EXP_RK4, 1.0), FULL)
         assert exc.value.step_index >= 0
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_overflow_is_numeric_failure_without_warning(self, scheme):
+        # tests run with warnings as errors: a leaked RuntimeWarning fails here
+        u0 = FourierState(2, np.full(5, 1e160 + 0j))
+        with pytest.raises(NumericFailure) as exc:
+            integrate(u0, 0.01, IntegratorSpec(scheme, 1e-3), FULL)
+        assert exc.value.step_index == 0
 
     def test_zero_T_returns_datum(self):
         u0 = random_state(3)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import fft, ifft
 
 from conftest import random_state
 from fournls.spectrum import (
@@ -14,6 +15,7 @@ from fournls.spectrum import (
     Trajectory,
     analyze,
     blocks_covering,
+    from_grid,
     hs_norm,
     load_state,
     load_trajectory,
@@ -24,6 +26,7 @@ from fournls.spectrum import (
     save_state,
     save_trajectory,
     synthesize,
+    to_grid,
 )
 
 
@@ -213,6 +216,28 @@ class TestGridSizes:
         assert padded_grid_size(n_max) >= 4 * n_max + 1
         m = odd_padded_grid_size(n_max)
         assert m >= 4 * n_max + 1 and m % 2 == 1
+
+
+class TestTransforms:
+    """to_grid and from_grid call scipy's pocketfft kernel directly; they
+    must stay scipy.fft.ifft and scipy.fft.fft bit for bit."""
+
+    @pytest.mark.parametrize("m", [5, 65, 66, 130, 4107])
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["1d", "batch"])
+    def test_bit_equal_to_scipy_fft(self, m, rows):
+        rng = np.random.default_rng(m)
+        n_max = (m - 1) // 4
+        idx = np.arange(-n_max, n_max + 1) % m
+        c = rng.normal(size=rows + (2 * n_max + 1, 2)).view(np.complex128)[..., 0]
+        c_before = c.copy()
+        spectrum = np.zeros(rows + (m,), dtype=np.complex128)
+        spectrum[..., idx] = c
+        g = to_grid(c, m, idx)
+        assert np.array_equal(c.view(np.float64), c_before.view(np.float64))
+        assert np.array_equal(g.view(np.float64), ifft(spectrum).view(np.float64))
+        g = rng.normal(size=rows + (m, 2)).view(np.complex128)[..., 0]
+        expected = fft(g).take(idx, axis=-1)
+        assert np.array_equal(from_grid(g, idx).view(np.float64), expected.view(np.float64))
 
 
 class TestTrajectory:
