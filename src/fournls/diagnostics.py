@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, fftfreq
 
 from .dynamics import nonlinearity_nonresonant
 from .experiments import derive_rng
@@ -22,6 +21,7 @@ from .spectrum import (
     FourierState,
     Trajectory,
     blocks_covering,
+    c2c,
     mass,
     padded_grid_size,
     to_grid,
@@ -137,8 +137,8 @@ class SpaceTimeField:
         else:
             phi = phase.mu_array(traj.n_max)
         reduced = traj.coeffs * np.exp(-1j * np.outer(times, phi))
-        tilde = fft(self.taper[:, None] * reduced, axis=0) / np.sqrt(k)
-        tau = 2.0 * np.pi * fftfreq(k, d=traj.dt)
+        tilde = c2c(self.taper[:, None] * reduced, (0,), True, 0, None, 1) / np.sqrt(k)
+        tau = 2.0 * np.pi * np.fft.fftfreq(k, d=traj.dt)
         return tau, tilde
 
 

@@ -123,7 +123,8 @@ def cubic_convolution(u: FourierState, v: FourierState, w: FourierState) -> Four
 def nonlinearity_resonant(u: FourierState) -> FourierState:
     """Resonant part: N_R(u)(n) = i |c_n|^2 c_n - 2i (sum_k |c_k|^2) c_n."""
     c = u.coeffs
-    return u.with_coeffs(1j * np.abs(c) ** 2 * c - 2j * mass(c) * c)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return u.with_coeffs(1j * np.abs(c) ** 2 * c - 2j * mass(c) * c)
 
 
 def nonlinearity_nonresonant(u: FourierState) -> FourierState:
@@ -294,4 +295,5 @@ def exact_resonant_flow(u0: FourierState, t: float, mu: int = 1) -> FourierState
     c_n(t) = exp(i mu t (|c_n(0)|^2 - 2 M0)) c_n(0) with M0 the mass.
     """
     c = u0.coeffs
-    return u0.with_coeffs(np.exp(1j * mu * t * (np.abs(c) ** 2 - 2.0 * mass(c))) * c)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return u0.with_coeffs(np.exp(1j * mu * t * (np.abs(c) ** 2 - 2.0 * mass(c))) * c)

@@ -6,13 +6,31 @@ coefficients and (1/2pi) int |u|^2 dx = sum_n |c_n|^2.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.fft._pocketfft.pypocketfft import c2c  # scipy.fft's kernel, undispatched
+
+
+def _pocketfft():
+    """scipy's compiled pocketfft extension (the kernel behind scipy.fft),
+    loaded from its file: the scipy.fft package costs ~0.3 s of imports."""
+    m = importlib.machinery
+    where = importlib.util.find_spec("scipy").submodule_search_locations[0] + "/fft/_pocketfft"
+    finder = m.FileFinder(where, (m.ExtensionFileLoader, m.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.fft._pocketfft.pypocketfft")
+    if spec is None:
+        raise ImportError(f"scipy's pocketfft extension not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_pypocketfft = _pocketfft()
+c2c, good_size = _pypocketfft.c2c, _pypocketfft.good_size  # undispatched
 
 STATE_FORMAT = "4nls-state/1"
 TRAJ_FORMAT = "4nls-traj/1"
@@ -228,14 +246,14 @@ def from_grid(g: np.ndarray, idx) -> np.ndarray:
 
 def padded_grid_size(n_max: int) -> int:
     """Smallest efficient transform length >= 4*n_max+1 (alias-free cubic)."""
-    return next_fast_len(4 * n_max + 1)
+    return good_size(4 * n_max + 1, False)  # = scipy.fft.next_fast_len
 
 
 def odd_padded_grid_size(n_max: int) -> int:
     """Smallest efficient odd transform length >= 4*n_max+1."""
-    m = next_fast_len(4 * n_max + 1)
+    m = good_size(4 * n_max + 1, False)
     while m % 2 == 0:
-        m = next_fast_len(m + 1)
+        m = good_size(m + 1, False)
     return m
 
 

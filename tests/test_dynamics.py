@@ -110,7 +110,10 @@ class TestCubicConvolution:
         lambda u: cubic_convolution(u, u, u),
         lambda u: rhs(u, FULL),
         lambda u: rhs(u, WICK),
-    ], ids=["cubic_convolution", "rhs-full", "rhs-wick"])
+        nonlinearity_resonant,
+        lambda u: exact_resonant_flow(u, 0.1),
+    ], ids=["cubic_convolution", "rhs-full", "rhs-wick", "nonlinearity_resonant",
+            "exact_resonant_flow"])
     def test_overflow_refused_without_warning(self, call):
         # the non-finite product is refused at the FourierState boundary,
         # and the overflow on the way raises no RuntimeWarning

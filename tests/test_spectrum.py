@@ -1,13 +1,19 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import fft, ifft
+import scipy.fft
+from scipy.fft import fft, ifft, next_fast_len
 
 from conftest import random_state
+from fournls import spectrum
 from fournls.spectrum import (
     DyadicBlock,
     FileFormatError,
@@ -15,6 +21,7 @@ from fournls.spectrum import (
     Trajectory,
     analyze,
     blocks_covering,
+    c2c,
     from_grid,
     hs_norm,
     load_state,
@@ -217,6 +224,15 @@ class TestGridSizes:
         m = odd_padded_grid_size(n_max)
         assert m >= 4 * n_max + 1 and m % 2 == 1
 
+    def test_grid_sizes_match_next_fast_len(self):
+        # pocketfft's good_size is what scipy.fft.next_fast_len caches
+        for n_max in range(5001):
+            m = next_fast_len(4 * n_max + 1)
+            assert padded_grid_size(n_max) == m
+            while m % 2 == 0:
+                m = next_fast_len(m + 1)
+            assert odd_padded_grid_size(n_max) == m
+
 
 class TestTransforms:
     """to_grid and from_grid call scipy's pocketfft kernel directly; they
@@ -238,6 +254,25 @@ class TestTransforms:
         g = rng.normal(size=rows + (m, 2)).view(np.complex128)[..., 0]
         expected = fft(g).take(idx, axis=-1)
         assert np.array_equal(from_grid(g, idx).view(np.float64), expected.view(np.float64))
+
+    @pytest.mark.parametrize("k", [8, 9, 2001])
+    def test_time_transform_bit_equal_to_scipy_fft(self, k):
+        # SpaceTimeField.time_modes: a forward transform along axis 0
+        x = np.random.default_rng(k).normal(size=(k, 65, 2)).view(np.complex128)[..., 0]
+        got = c2c(x, (0,), True, 0, None, 1)
+        assert np.array_equal(got.view(np.float64), fft(x, axis=0).view(np.float64))
+
+    def test_scipy_fft_reuses_the_loaded_extension(self):
+        assert scipy.fft._pocketfft.pypocketfft is spectrum._pypocketfft
+
+    def test_import_leaves_scipy_fft_unloaded(self):
+        # the scipy.fft package, and what it pulls in, cost ~0.3 s per process
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys, fournls.cli; print(' '.join(m for m in "
+                "('scipy.fft', 'scipy.special', 'numpy.f2py') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == []
 
 
 class TestTrajectory:
