@@ -210,12 +210,13 @@ def _cmd_resonance(cfg: RunConfig) -> str:
 def _cmd_norms(cfg: RunConfig) -> str:
     v = cfg.values
     traj = load_trajectory(v["traj"])
-    field_ = diagnostics.SpaceTimeField(traj, v["window"])
-    phase = ModifiedPhase(traj[0]) if v["phase"] == "modified" else None
-    value = diagnostics.ysb_norm(field_, v["s"], v["b"], phase)
-    z_value = diagnostics.ysb_norm(field_, v["s"], v["b"], phase, z_part=True)
     gaps = diagnostics.smoothing_gap(traj)
     blocks = diagnostics.dyadic_gap_profile(traj, v["s"])
+    field_ = diagnostics.SpaceTimeField(traj, v["window"])
+    phase = ModifiedPhase(traj[0]) if v["phase"] == "modified" else None
+    modes = field_.time_modes(phase)  # one time DFT serves both norms
+    value = diagnostics.ysb_norm(field_, v["s"], v["b"], phase, modes=modes)
+    z_value = diagnostics.ysb_norm(field_, v["s"], v["b"], phase, z_part=True, modes=modes)
     base = _out(cfg)
     doc = {
         "ysb_norm": value,
@@ -231,12 +232,9 @@ def _cmd_norms(cfg: RunConfig) -> str:
         fh.write("\n")
     times = traj.times
     _write_csv(base + "_gap.csv", ["t", "gap"], zip(times, gaps))
-    rows = [
-        (level, t, val)
-        for level, series in sorted(blocks.items())
-        for t, val in zip(times, series)
-    ]
-    _write_csv(base + "_blocks.csv", ["block", "t", "value"], rows)
+    _write_csv(base + "_blocks.csv", ["block", "t", "value"],
+               ((level, t, val) for level, series in sorted(blocks.items())
+                for t, val in zip(times, series)))
     return f"norms: ysb={value:.6e} max_gap={np.max(gaps):.3e} -> {base}.json"
 
 

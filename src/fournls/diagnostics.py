@@ -37,7 +37,8 @@ def hamiltonian(u, mu_sign: int = 1):
     and by the truncated flow (which is Hamiltonian on the projected space).
     """
     if isinstance(u, FourierState):
-        return float(hamiltonian(u.coeffs, mu_sign))
+        with np.errstate(over="ignore", invalid="ignore"):  # a float may be inf or nan
+            return float(hamiltonian(u.coeffs, mu_sign))
     n_max = (u.shape[-1] - 1) // 2
     ns = np.arange(-n_max, n_max + 1)
     m = padded_grid_size(n_max)
@@ -55,8 +56,15 @@ def symplectic_form(u: FourierState, v: FourierState) -> float:
 
 def smoothing_gap(traj: Trajectory) -> np.ndarray:
     """Per-sample sup_n | |c_n(t)|^2 - |c_n(0)|^2 |."""
-    arr = np.abs(traj.coeffs) ** 2
-    return np.max(np.abs(arr - arr[0]), axis=1)
+    return np.max(_modulus_gap(traj), axis=1)
+
+
+def _modulus_gap(traj: Trajectory) -> np.ndarray:
+    """| |c_n(t)|^2 - |c_n(0)|^2 | per sample and mode, in one float array."""
+    gap = np.abs(traj.coeffs)
+    gap **= 2
+    gap -= gap[0].copy()
+    return np.abs(gap, out=gap)
 
 
 def dyadic_gap_profile(traj: Trajectory, s: float) -> dict:
@@ -64,8 +72,7 @@ def dyadic_gap_profile(traj: Trajectory, s: float) -> dict:
 
     Returns {level: array over samples}.
     """
-    arr = np.abs(traj.coeffs) ** 2
-    gap = np.abs(arr - arr[0])
+    gap = _modulus_gap(traj)
     ns = np.arange(-traj.n_max, traj.n_max + 1)
     w = (1.0 + ns.astype(np.float64) ** 2) ** s
     out = {}
@@ -130,35 +137,49 @@ class SpaceTimeField:
         """
         traj = self.trajectory
         k = len(traj)
-        times = traj.times
         ns = np.arange(-traj.n_max, traj.n_max + 1)
         if phase is None:
             phi = ns.astype(np.float64) ** 4
         else:
             phi = phase.mu_array(traj.n_max)
-        reduced = traj.coeffs * np.exp(-1j * np.outer(times, phi))
-        tilde = c2c(self.taper[:, None] * reduced, (0,), True, 0, None, 1) / np.sqrt(k)
+        # coeffs * exp(-1j * outer(times, phi)), tapered, transformed and
+        # scaled by 1/sqrt(k), with at most two (samples, modes) arrays alive.
+        # The product with coeffs stays an operator on a fresh temporary:
+        # numpy may then multiply in place with the operands swapped, and
+        # the order moves the last bit, so a fixed order would change results.
+        tilde = np.zeros(traj.coeffs.shape, dtype=np.complex128)
+        np.outer(traj.times, phi, out=tilde.real)
+        np.multiply(-1j, tilde, out=tilde)
+        tilde = traj.coeffs * np.exp(tilde)
+        np.multiply(self.taper[:, None], tilde, out=tilde)
+        c2c(tilde, (0,), True, 0, tilde, 1)
+        np.divide(tilde, np.sqrt(k), out=tilde)
         tau = 2.0 * np.pi * np.fft.fftfreq(k, d=traj.dt)
         return tau, tilde
 
 
 def ysb_norm(field: SpaceTimeField, s: float, b: float,
-             phase: ModifiedPhase | None = None, z_part: bool = False) -> float:
+             phase: ModifiedPhase | None = None, z_part: bool = False,
+             modes: tuple | None = None) -> float:
     """Discrete estimator of the X^{s,b} / Y^{s,b} space-time norm.
 
     phase=None weights modulations against the plain dispersion n^4
     (X^{s,b}); a ModifiedPhase uses mu(n) = n^4 + |c0(n)|^2 (Y^{s,b}).
     With z_part=True the l2_n L1_tau companion of Z^{s,1/2} is returned
-    instead (b is then ignored).
+    instead (b is then ignored). modes, when given, is the caller's
+    field.time_modes(phase), so several norms share one time DFT.
     """
-    tau, tilde = field.time_modes(phase)
+    tau, tilde = field.time_modes(phase) if modes is None else modes
     ns = np.arange(-field.trajectory.n_max, field.trajectory.n_max + 1)
     wn = (1.0 + ns.astype(np.float64) ** 2) ** s
+    mag = np.abs(tilde)
     if z_part:
-        per_mode = np.sum(np.abs(tilde), axis=0)
+        per_mode = np.sum(mag, axis=0)
         return float(np.sqrt(np.sum(wn * per_mode**2)))
     wt = (1.0 + tau**2) ** b
-    return float(np.sqrt(np.sum(wn[None, :] * wt[:, None] * np.abs(tilde) ** 2)))
+    mag **= 2
+    np.multiply(wn[None, :] * wt[:, None], mag, out=mag)
+    return float(np.sqrt(np.sum(mag)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -273,15 +274,17 @@ def project_dyadic(state: FourierState, block: DyadicBlock) -> FourierState:
 
 def hs_norm(state: FourierState, s: float) -> float:
     """Sobolev norm (sum <n>^{2s} |c_n|^2)^{1/2}, <n> = (1+n^2)^{1/2}."""
-    w = (1.0 + state.modes.astype(np.float64) ** 2) ** s
-    return float(math.sqrt(np.sum(w * np.abs(state.coeffs) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a float may be inf or nan
+        w = (1.0 + state.modes.astype(np.float64) ** 2) ** s
+        return float(math.sqrt(np.sum(w * np.abs(state.coeffs) ** 2)))
 
 
 def mass(u):
     """sum_n |c_n|^2 = (1/2pi) int |u|^2 dx of one FourierState (a float)
     or of each amplitude row of an array of shape (..., 2*n_max+1)."""
     if isinstance(u, FourierState):
-        return float(mass(u.coeffs))
+        with np.errstate(over="ignore"):  # a float may be inf
+            return float(mass(u.coeffs))
     return np.sum(np.abs(u) ** 2, axis=-1)
 
 
@@ -364,28 +367,36 @@ def save_trajectory(traj: Trajectory, path) -> None:
             fh.write(json.dumps({"k": k, "coeffs": _pairs(row)}) + "\n")
 
 
-def load_trajectory(path) -> Trajectory:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise FileFormatError(f"{path}: empty trajectory file")
-    header, n_max = _header(lines[0], TRAJ_FORMAT, f"{path}: header")
-    t0, dt = header.get("t0"), header.get("dt")
-    if type(t0) not in (int, float) or type(dt) not in (int, float):
-        raise FileFormatError(f"{path}: header: t0, dt must be numbers, found {t0!r}, {dt!r}")
-    if len(lines) == 1:
-        raise FileFormatError(f"{path}: trajectory has no states")
-    coeffs = None
-    for i, ln in enumerate(lines[1:]):
+def _records(lines, n_max: int, path):
+    """The amplitude row of each record line, checked in file order."""
+    for i, ln in enumerate(lines):
         where = f"{path}: record {i}"
         rec = _json_object(ln, where)
         k = rec.get("k")
         if type(k) is not int or k != i:
             raise FileFormatError(f"{where} carries index {k!r}")
-        row = _decode(rec.get("coeffs"), n_max, where, ln)
-        if coeffs is None:  # allocate only once a record confirms the width
-            coeffs = np.empty((len(lines) - 1, len(row)), dtype=np.complex128)
-        coeffs[i] = row
+        yield _decode(rec.get("coeffs"), n_max, where, ln)
+
+
+def load_trajectory(path) -> Trajectory:
+    """Read the header line, then parse one record line at a time straight
+    into the result, so a load holds the array plus one line of text."""
+    with open(path) as fh:
+        # each line without its line end, so a JSON error names the same column
+        lines = (ln.rstrip("\n") for ln in fh if ln.strip())
+        first = next(lines, None)
+        if first is None:
+            raise FileFormatError(f"{path}: empty trajectory file")
+        header, n_max = _header(first, TRAJ_FORMAT, f"{path}: header")
+        t0, dt = header.get("t0"), header.get("dt")
+        if type(t0) not in (int, float) or type(dt) not in (int, float):
+            raise FileFormatError(f"{path}: header: t0, dt must be numbers, found {t0!r}, {dt!r}")
+        rows = _records(lines, n_max, path)
+        row = next(rows, None)
+        if row is None:
+            raise FileFormatError(f"{path}: trajectory has no states")
+        # the row type is built only once a record confirms the width
+        coeffs = np.fromiter(itertools.chain([row], rows), (np.complex128, row.shape))
     coeffs.flags.writeable = False
     try:
         return Trajectory(float(t0), float(dt), coeffs)

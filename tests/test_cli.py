@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fournls import experiments
+from fournls import diagnostics, experiments
 from fournls.cli import _SUBCOMMANDS, ConfigError, main, parse_argv, parse_config
 from fournls.dynamics import EquationKind, IntegratorSpec, Kind, Scheme, integrate
 from fournls.experiments import ProfileKind, ProfileSpec
@@ -339,6 +339,18 @@ class TestNorms:
         with open(tmp_path / "n_blocks.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {"block", "t", "value"} <= set(rows[0])
+
+    @pytest.mark.parametrize("phase", ["plain", "modified"])
+    def test_one_time_transform_per_run(self, tmp_path, monkeypatch, phase):
+        calls = []
+        time_modes = diagnostics.SpaceTimeField.time_modes
+        monkeypatch.setattr(diagnostics.SpaceTimeField, "time_modes",
+                            lambda field, ph=None: calls.append(ph) or time_modes(field, ph))
+        assert run(["simulate", "--n-max", 4, "--dt", "1e-3", "--T", "0.02",
+                    "--out-dir", tmp_path, "--out", "t.jsonl"]) == 0
+        assert run(["norms", "--traj", tmp_path / "t.jsonl", "--phase", phase,
+                    "--out-dir", tmp_path]) == 0
+        assert len(calls) == 1 and (calls[0] is None) == (phase == "plain")
 
     def test_modified_phase_option(self, tmp_path):
         assert run(["simulate", "--n-max", 4, "--dt", "1e-3", "--T", "0.02",

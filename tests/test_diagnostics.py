@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from fournls.dynamics import (
     step,
 )
 from fournls.resonance import ModifiedPhase
-from fournls.spectrum import DyadicBlock, FourierState, Trajectory, blocks_covering
+from fournls.spectrum import DyadicBlock, FourierState, Trajectory, blocks_covering, c2c, hs_norm
 
 
 class TestMassHamiltonian:
@@ -69,6 +72,14 @@ class TestMassHamiltonian:
         u = random_state(5, seed=6)
         assert type(mass(u)) is float and type(hamiltonian(u, -1)) is float
         assert mass(u) == mass(u.coeffs) and hamiltonian(u, -1) == hamiltonian(u.coeffs, -1)
+
+    @pytest.mark.parametrize("f", [mass, lambda u: hs_norm(u, 1.0), hamiltonian],
+                             ids=["mass", "hs_norm", "hamiltonian"])
+    def test_overflow_gives_a_nonfinite_float_without_warning(self, f):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(FourierState(3, np.full(7, 1e160 + 0j)))
+        assert type(got) is float and not math.isfinite(got)
 
     @pytest.mark.parametrize("scheme", [Scheme.EXP_RK4, Scheme.STRANG])
     @pytest.mark.parametrize("kind", [FULL, WICK, EquationKind(Kind.FULL_4NLS, -1)],
@@ -250,6 +261,35 @@ class TestYsbNorm:
         field = SpaceTimeField(tr, "rect")
         z = ysb_norm(field, 0.5, 0.0, z_part=True)
         assert z >= ysb_norm(field, 0.5, 0.0) - 1e-12  # l1 >= l2 per mode
+
+    @pytest.mark.parametrize("samples, n_max", [(9, 1), (2001, 32)])
+    @pytest.mark.parametrize("modified", [False, True], ids=["plain", "modified"])
+    def test_bit_equal_to_the_one_line_expressions(self, samples, n_max, modified):
+        # time_modes and ysb_norm work in place; their values are those of
+        # the plain expressions below. Above 256 KiB numpy may multiply a
+        # temporary in place with its operands swapped, so both sizes count.
+        rng = np.random.default_rng(samples)
+        shape = (samples, 2 * n_max + 1)
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        tr = Trajectory(0.1, 1e-4, c)
+        field = SpaceTimeField(tr, "cosine")
+        phase = ModifiedPhase(tr[0]) if modified else None
+        ns = np.arange(-n_max, n_max + 1)
+        phi = phase.mu_array(n_max) if modified else ns.astype(np.float64) ** 4
+        reduced = tr.coeffs * np.exp(-1j * np.outer(tr.times, phi))
+        tilde = c2c(field.taper[:, None] * reduced, (0,), True, 0, None, 1) / np.sqrt(samples)
+        tau = 2.0 * np.pi * np.fft.fftfreq(samples, d=tr.dt)
+        modes = field.time_modes(phase)
+        assert modes[0].tobytes() == tau.tobytes() and modes[1].tobytes() == tilde.tobytes()
+        wn = (1.0 + ns.astype(np.float64) ** 2) ** 0.5
+        for b in (0.0, 0.49, 1.0):
+            wt = (1.0 + tau**2) ** b
+            want = float(np.sqrt(np.sum(wn[None, :] * wt[:, None] * np.abs(tilde) ** 2)))
+            assert ysb_norm(field, 0.5, b, phase) == want
+            assert ysb_norm(field, 0.5, b, phase, modes=modes) == want
+        want = float(np.sqrt(np.sum(wn * np.sum(np.abs(tilde), axis=0) ** 2)))
+        assert ysb_norm(field, 0.5, 0.0, phase, z_part=True) == want
+        assert ysb_norm(field, 0.5, 0.0, phase, z_part=True, modes=modes) == want
 
     def test_weights_increase_with_b(self):
         tr = self._traj()

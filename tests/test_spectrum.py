@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,16 @@ class TestTrajectory:
             tr[5]
 
 
+@pytest.fixture(scope="module")
+def long_trajectory(tmp_path_factory):
+    """A saved 2000-sample trajectory at n_max = 32 and its rows."""
+    rng = np.random.default_rng(2000)
+    rows = rng.normal(size=(2000, 65)) + 1j * rng.normal(size=(2000, 65))
+    path = tmp_path_factory.mktemp("long") / "t.jsonl"
+    save_trajectory(Trajectory(0.0, 1e-4, rows), path)
+    return path, rows
+
+
 class TestFileFormats:
     def test_state_round_trip_bit_exact(self, tmp_path):
         u = random_state(7, seed=5, norm=None)
@@ -426,6 +437,45 @@ class TestFileFormats:
         p.write_text("".join(ln + "\n" for ln in lines))
         with pytest.raises(FileFormatError, match=re.escape(str(p))):
             load(p)
+
+    def test_blank_lines_between_records_skipped(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        rec1 = REC0.replace('"k": 0', '"k": 1')
+        p.write_text(f"\n \n{HEADER}\n\n   \n{REC0}\n\t \n\n{rec1}\n \n")
+        tr = load_trajectory(p)
+        assert len(tr) == 2 and np.array_equal(tr.coeffs[0], tr.coeffs[1])
+        assert tr.coeffs[0].tolist() == [1.0, 0.0, 0.5 - 0.5j]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_endings_load(self, tmp_path, newline):
+        tr = Trajectory(0.0, 1e-3, [random_state(2, seed=k, norm=None).coeffs for k in range(3)])
+        p = tmp_path / "t.jsonl"
+        save_trajectory(tr, p)
+        p.write_bytes(p.read_bytes().replace(b"\n", newline.encode()))
+        assert load_trajectory(p).coeffs.tobytes() == tr.coeffs.tobytes()
+
+    def test_corrupt_record_deep_in_a_long_file_named(self, tmp_path, long_trajectory):
+        lines = long_trajectory[0].read_text().splitlines(keepends=True)
+        lines[1501] = lines[1501][:40] + "\n"  # record 1500, cut short
+        p = tmp_path / "t.jsonl"
+        p.write_text("".join(lines))
+        with pytest.raises(FileFormatError, match=re.escape(f"{p}: record 1500: not valid JSON")):
+            load_trajectory(p)
+
+    def test_load_holds_one_array_plus_one_line(self, long_trajectory):
+        # the text of the records is about six times the array they fill;
+        # a load that reads them one line at a time peaks near the array
+        path, rows = long_trajectory
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            tr = load_trajectory(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tr.coeffs.tobytes() == rows.tobytes()
+        assert peak <= 3 * tr.coeffs.nbytes
 
     def test_ragged_coeffs_name_the_record(self, tmp_path):
         p = tmp_path / "t.jsonl"
