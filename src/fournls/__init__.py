@@ -6,17 +6,12 @@ from .spectrum import (
     FileFormatError,
     FourierState,
     Trajectory,
-    analyze,
     blocks_covering,
-    hs_norm,
     load_state,
     load_trajectory,
     mass,
-    project_dyadic,
-    project_leq,
     save_state,
     save_trajectory,
-    synthesize,
 )
 from .dynamics import (
     FULL,
@@ -32,7 +27,6 @@ from .dynamics import (
     integrate_batch,
     nonlinearity_nonresonant,
     nonlinearity_resonant,
-    rhs,
     step,
 )
 from .resonance import (
@@ -45,7 +39,7 @@ from .resonance import (
     h_value,
     normal_form_boundary,
 )
-from .gauge import gauge_apply, gauge_equivalence_check, gauge_invert
+from .gauge import gauge_apply, gauge_equivalence_check
 from .diagnostics import (
     SpaceTimeField,
     dyadic_gap_profile,

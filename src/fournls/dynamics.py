@@ -150,14 +150,6 @@ def _nonlinear_rhs_raw(c: np.ndarray, kind: EquationKind, m, idx) -> np.ndarray:
     return kind.mu * (-1j * conv + 2j * mass(c)[..., None] * c)
 
 
-def rhs(u: FourierState, kind: EquationKind) -> FourierState:
-    """Full time derivative dc/dt of the Galerkin system at u's radius."""
-    n4 = u.modes.astype(np.float64) ** 4
-    with np.errstate(invalid="ignore", over="ignore"):
-        nl = _nonlinear_rhs_raw(u.coeffs, kind, *_conv_plan(u.n_max))
-    return u.with_coeffs(1j * n4 * u.coeffs + nl)
-
-
 def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
     """Raw-array one-step map c -> c(dt) for amplitude rows of shape
     (..., 2*n_max+1), n = -n_max..n_max; each row steps independently.

@@ -159,7 +159,7 @@ def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
     def one(n: int):
         datum = base.truncate_to(n)
         tr = integrate(datum, T, spec, eq, stride)
-        ref = integrate(datum.pad_to(ref_factor * n), T, spec, eq, stride)
+        ref = integrate(datum.truncate_to(ref_factor * n), T, spec, eq, stride)
         return {"N": n, "error": _low_mode_gap(tr.coeffs, ref.coeffs, math.isqrt(n))}
 
     table = [one(n) for n in ladder]

@@ -24,11 +24,6 @@ def gauge_apply(u, t, mass0: float, mu_sign: int = 1):
     return np.exp(2j * mu_sign * np.asarray(t)[..., None] * mass0) * u
 
 
-def gauge_invert(v, t, mass0: float, mu_sign: int = 1):
-    """Exact inverse phase: gauge_invert(gauge_apply(u)) == u."""
-    return gauge_apply(v, -np.asarray(t), mass0, mu_sign)
-
-
 @dataclass(frozen=True)
 class GaugeEquivalenceReport:
     """Per-sample l2 gap |G[u] - v| and its phase-aligned remainder.

@@ -113,12 +113,6 @@ class FourierState:
     def with_coeffs(self, coeffs: np.ndarray) -> "FourierState":
         return FourierState(self.n_max, coeffs)
 
-    def pad_to(self, n_max: int) -> "FourierState":
-        """Zero-pad to a larger truncation radius."""
-        if n_max < self.n_max:
-            raise ValueError("pad_to target smaller than current n_max")
-        return FourierState(n_max, resize(self.coeffs, n_max))
-
     def truncate_to(self, n_max: int) -> "FourierState":
         """Resize to radius n_max: drop the modes with |n| > n_max, or
         zero-pad when n_max exceeds the current radius."""
@@ -184,7 +178,8 @@ class DyadicBlock:
 
     def __post_init__(self):
         n = self.level
-        if n < 1 or (n & (n - 1)) != 0:
+        if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
+                or n < 1 or (n & (n - 1)) != 0):
             raise ValueError(f"level must be a power of two >= 1, got {n}")
 
     def contains(self, n):
@@ -201,32 +196,6 @@ def blocks_covering(n_max: int) -> list[DyadicBlock]:
     """Dyadic blocks whose union covers [-n_max, n_max]: levels 1, 2, ...,
     up to the largest N with N/2 <= n_max."""
     return [DyadicBlock(2**j) for j in range(max(n_max, 0).bit_length() + 1)]
-
-
-def analyze(samples, n_max: int) -> FourierState:
-    """Discrete Fourier coefficients c_n, |n| <= n_max, of equispaced samples.
-
-    Exact for inputs band-limited to |n| <= n_max when the grid has
-    M >= 2*n_max+1 points.
-    """
-    u = np.asarray(samples, dtype=np.complex128)
-    m = u.shape[-1]
-    if m < 2 * n_max + 1:
-        raise ValueError(
-            f"grid of {m} samples too short for n_max={n_max}; need >= {2 * n_max + 1}"
-        )
-    return FourierState(n_max, from_grid(u.copy(), np.arange(-n_max, n_max + 1) % m) / m)
-
-
-def synthesize(state: FourierState, grid_size: int) -> np.ndarray:
-    """Evaluate u(x) = sum c_n e^{inx} on the equispaced grid x_j = 2pi j/M."""
-    m = grid_size
-    if m < 2 * state.n_max + 1:
-        raise ValueError(
-            f"grid of {m} samples too short for n_max={state.n_max};"
-            f" need >= {2 * state.n_max + 1}"
-        )
-    return to_grid(state.coeffs, m, np.arange(-state.n_max, state.n_max + 1) % m) * m
 
 
 def to_grid(c, m: int, idx) -> np.ndarray:
@@ -256,27 +225,6 @@ def odd_padded_grid_size(n_max: int) -> int:
     while m % 2 == 0:
         m = good_size(m + 1, False)
     return m
-
-
-def project_leq(state: FourierState, cutoff: int) -> FourierState:
-    """Zero all modes with |n| > cutoff; the truncation radius is unchanged."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    n = state.n_max
-    return state.with_coeffs(resize(resize(state.coeffs, min(cutoff, n)), n))
-
-
-def project_dyadic(state: FourierState, block: DyadicBlock) -> FourierState:
-    """Keep exactly the modes with n in the block's index set."""
-    c = np.where(block.mask(state.n_max), state.coeffs, 0.0)
-    return state.with_coeffs(c)
-
-
-def hs_norm(state: FourierState, s: float) -> float:
-    """Sobolev norm (sum <n>^{2s} |c_n|^2)^{1/2}, <n> = (1+n^2)^{1/2}."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a float may be inf or nan
-        w = (1.0 + state.modes.astype(np.float64) ** 2) ** s
-        return float(math.sqrt(np.sum(w * np.abs(state.coeffs) ** 2)))
 
 
 def mass(u):

@@ -20,20 +20,15 @@ from fournls.spectrum import (
     FileFormatError,
     FourierState,
     Trajectory,
-    analyze,
     blocks_covering,
     c2c,
     from_grid,
-    hs_norm,
     load_state,
     load_trajectory,
     odd_padded_grid_size,
     padded_grid_size,
-    project_dyadic,
-    project_leq,
     save_state,
     save_trajectory,
-    synthesize,
     to_grid,
 )
 
@@ -97,7 +92,7 @@ class TestFourierState:
 
     def test_pad_truncate_round_trip(self):
         u = random_state(4, seed=1, norm=None)
-        assert u.pad_to(9).truncate_to(4).allclose(u)
+        assert u.truncate_to(9).truncate_to(4).allclose(u)
 
     def test_truncate_drops_high_modes(self):
         u = FourierState.from_modes(3, {3: 1.0, 1: 2.0})
@@ -106,35 +101,19 @@ class TestFourierState:
         assert v.mode(1) == 2.0
         assert v.l2_norm() == 2.0
 
-    def test_pad_to_smaller_rejected(self):
-        with pytest.raises(ValueError):
-            random_state(4, norm=None).pad_to(2)
-
     @given(coeff_strategy)
     @settings(max_examples=40, deadline=None)
     def test_parseval(self, u):
         m = 2 * u.n_max + 1
-        grid = synthesize(u, m)
+        grid = to_grid(u.coeffs, m, u.modes % m) * m
         assert np.isclose(np.sum(np.abs(grid) ** 2) / m, u.l2_norm() ** 2,
                           rtol=1e-12, atol=1e-12)
-
-    @given(coeff_strategy, st.integers(min_value=0, max_value=8))
-    @settings(max_examples=40, deadline=None)
-    def test_analyze_synthesize_round_trip(self, u, extra):
-        m = 2 * u.n_max + 1 + extra
-        assert analyze(synthesize(u, m), u.n_max).allclose(u, atol=1e-12)
-
-    def test_analyze_grid_too_short(self):
-        with pytest.raises(ValueError):
-            analyze(np.zeros(4, dtype=complex), 2)
-        with pytest.raises(ValueError, match="grid of 4 samples too short for n_max=2"):
-            synthesize(FourierState.zeros(2), 4)
 
 
 class TestDyadicBlocks:
     def test_level_must_be_power_of_two(self):
-        for bad in (0, 3, 6, -2):
-            with pytest.raises(ValueError):
+        for bad in (0, 3, 6, -2, True, 2.0):
+            with pytest.raises(ValueError, match="level must be a power of two"):
                 DyadicBlock(bad)
 
     def test_unit_block(self):
@@ -173,48 +152,6 @@ class TestDyadicBlocks:
             hits = sum(b.contains(n) for b in blocks)
             # closed intervals [N/2, 2N] triple up exactly at powers of two
             assert 1 <= hits <= 3
-
-    def test_project_dyadic_partition(self):
-        u = random_state(10, seed=2, norm=None)
-        b = DyadicBlock(4)
-        v = project_dyadic(u, b)
-        for n in range(-10, 11):
-            expected = u.mode(n) if b.contains(n) else 0.0
-            assert v.mode(n) == expected
-
-
-class TestProjections:
-    def test_project_leq_idempotent(self):
-        u = random_state(6, seed=3, norm=None)
-        assert project_leq(project_leq(u, 3), 3).allclose(project_leq(u, 3))
-
-    def test_project_leq_keeps_radius(self):
-        u = random_state(6, seed=3, norm=None)
-        assert project_leq(u, 2).n_max == 6
-
-    def test_project_leq_rejects_negative_cutoff(self):
-        with pytest.raises(ValueError, match="cutoff must be nonnegative"):
-            project_leq(random_state(6, seed=3, norm=None), -1)
-
-    @pytest.mark.parametrize("cutoff", [6, 9])
-    def test_project_leq_at_or_above_radius_is_identity(self, cutoff):
-        u = random_state(6, seed=3, norm=None)
-        assert np.array_equal(project_leq(u, cutoff).coeffs, u.coeffs)
-
-    def test_project_leq_zeroes_only_high_modes(self):
-        u = random_state(6, seed=3, norm=None)
-        p = project_leq(u, 2)
-        low = np.abs(u.modes) <= 2
-        assert np.array_equal(p.coeffs[low], u.coeffs[low])
-        assert np.all(p.coeffs[~low] == 0.0)
-
-    def test_hs_norm_s0_is_l2(self):
-        u = random_state(5, seed=4, norm=None)
-        assert np.isclose(hs_norm(u, 0.0), u.l2_norm(), rtol=1e-13)
-
-    def test_hs_norm_single_mode(self):
-        u = FourierState.from_modes(4, {3: 2.0})
-        assert np.isclose(hs_norm(u, 1.0), 2.0 * (1 + 9) ** 0.5)
 
 
 class TestGridSizes:
