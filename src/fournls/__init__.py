@@ -1,6 +1,8 @@
 """Fourier-Galerkin simulation and verification toolkit for the periodic
 fourth-order cubic NLS and its Wick-ordered variant."""
 
+from types import ModuleType as _ModuleType
+
 from .spectrum import (
     DyadicBlock,
     FileFormatError,
@@ -60,5 +62,6 @@ from .experiments import (
     run_squeeze_probe,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

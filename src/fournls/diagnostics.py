@@ -22,8 +22,8 @@ from .spectrum import (
     Trajectory,
     blocks_covering,
     c2c,
+    grid_plan,
     mass,
-    padded_grid_size,
     to_grid,
 )
 
@@ -40,10 +40,9 @@ def hamiltonian(u, mu_sign: int = 1):
         with np.errstate(over="ignore", invalid="ignore"):  # a float may be inf or nan
             return float(hamiltonian(u.coeffs, mu_sign))
     n_max = (u.shape[-1] - 1) // 2
-    ns = np.arange(-n_max, n_max + 1)
-    m = padded_grid_size(n_max)
-    quadratic = np.sum(ns.astype(np.float64) ** 4 * np.abs(u) ** 2, axis=-1)
-    quartic = np.sum(np.abs(to_grid(u, m, ns % m) * m) ** 4, axis=-1) / m
+    m, idx = grid_plan(n_max)
+    quadratic = np.sum(np.arange(-n_max, n_max + 1.0) ** 4 * np.abs(u) ** 2, axis=-1)
+    quartic = np.sum(np.abs(to_grid(u, m, idx) * m) ** 4, axis=-1) / m
     return quadratic - 0.5 * mu_sign * quartic
 
 

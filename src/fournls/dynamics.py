@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import (FourierState, Trajectory, as_rows, from_grid, mass,
-                       odd_padded_grid_size, padded_grid_size, resize, to_grid)
+from .spectrum import (FourierState, Trajectory, as_rows, from_grid, grid_plan, mass,
+                       odd_padded_grid_size, resize, to_grid)
 
 
 class NumericFailure(RuntimeError):
@@ -45,7 +45,9 @@ class EquationKind:
     mu: int = 1
 
     def __post_init__(self):
-        if self.mu not in (-1, 0, 1):
+        if not isinstance(self.kind, Kind):
+            raise ValueError(f"kind must be a Kind, got {self.kind!r}")
+        if isinstance(self.mu, bool) or self.mu not in (-1, 0, 1):
             raise ValueError("mu must be +1, -1, or 0 (linear-only test mode)")
 
 
@@ -73,7 +75,9 @@ class IntegratorSpec:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.dt == 0.0 or not math.isfinite(self.dt):
+        if not isinstance(self.scheme, Scheme):
+            raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
+        if isinstance(self.dt, bool) or self.dt == 0.0 or not math.isfinite(self.dt):
             raise ValueError("dt must be a nonzero finite number")
 
     def steps(self, T: float) -> int:
@@ -86,13 +90,6 @@ class IntegratorSpec:
         if k < 0 or abs(k_float - k) > 1e-12 * max(1.0, abs(k_float)):
             raise ValueError(f"T={T} is not a nonnegative integer multiple of dt={self.dt}")
         return k
-
-
-def _conv_plan(n_max: int) -> tuple:
-    """Precomputed FFT layout for alias-free cubic products at this n_max."""
-    m = padded_grid_size(n_max)
-    idx = np.arange(-n_max, n_max + 1) % m
-    return m, idx
 
 
 def _cubic_conv_raw(cu, cv, cw, m, idx) -> np.ndarray:
@@ -115,7 +112,7 @@ def cubic_convolution(u: FourierState, v: FourierState, w: FourierState) -> Four
     """
     if not (u.n_max == v.n_max == w.n_max):
         raise ValueError("cubic_convolution requires equal n_max")
-    m, idx = _conv_plan(u.n_max)
+    m, idx = grid_plan(u.n_max)
     with np.errstate(invalid="ignore", over="ignore"):
         return u.with_coeffs(_cubic_conv_raw(u.coeffs, v.coeffs, w.coeffs, m, idx))
 
@@ -165,7 +162,7 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
     e_half = np.exp(0.5j * dt * modes.astype(np.float64) ** 4)
 
     if spec.scheme is Scheme.STRANG:
-        m, idx = len(modes), modes % len(modes)
+        m, idx = grid_plan(n_max, 2 * n_max + 1)
 
         def strang(c):
             c = e_half * c
@@ -181,7 +178,7 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
 
     e_full = e_half * e_half
     back_half, back_full = np.conj(e_half), np.conj(e_full)
-    m, idx = _conv_plan(n_max)
+    m, idx = grid_plan(n_max)
 
     def nl(c):
         return _nonlinear_rhs_raw(c, kind, m, idx)

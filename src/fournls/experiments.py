@@ -50,6 +50,10 @@ class ProfileSpec:
     seed: int = 0
     mode: int = 0
 
+    def __post_init__(self):
+        if not isinstance(self.kind, ProfileKind):
+            raise ValueError(f"kind must be a ProfileKind, got {self.kind!r}")
+
     def build(self, n_max: int) -> FourierState:
         if self.kind is ProfileKind.SINGLE_MODE:
             if abs(self.mode) > n_max:

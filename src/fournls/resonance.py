@@ -35,10 +35,6 @@ class ResonanceQuadruple:
             raise ValueError("trivially resonant triple (n1=n2 or n2=n3)")
 
     @property
-    def n(self) -> int:
-        return self.n1 - self.n2 + self.n3
-
-    @property
     def h(self) -> int:
         return h_value(self.n1, self.n2, self.n3)
 

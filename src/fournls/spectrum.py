@@ -105,11 +105,6 @@ class FourierState:
             return 0.0 + 0.0j
         return complex(self.coeffs[n + self.n_max])
 
-    @property
-    def modes(self) -> np.ndarray:
-        """Integer frequencies -n_max..n_max matching ``coeffs``."""
-        return np.arange(-self.n_max, self.n_max + 1)
-
     def with_coeffs(self, coeffs: np.ndarray) -> "FourierState":
         return FourierState(self.n_max, coeffs)
 
@@ -117,9 +112,6 @@ class FourierState:
         """Resize to radius n_max: drop the modes with |n| > n_max, or
         zero-pad when n_max exceeds the current radius."""
         return FourierState(n_max, resize(self.coeffs, n_max))
-
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
     def allclose(self, other: "FourierState", atol: float = 0.0, rtol: float = 1e-13) -> bool:
         return self.n_max == other.n_max and np.allclose(
@@ -214,9 +206,13 @@ def from_grid(g: np.ndarray, idx) -> np.ndarray:
     return c2c(g, (-1,), True, 0, g, 1).take(idx, axis=-1)
 
 
-def padded_grid_size(n_max: int) -> int:
-    """Smallest efficient transform length >= 4*n_max+1 (alias-free cubic)."""
-    return good_size(4 * n_max + 1, False)  # = scipy.fft.next_fast_len
+def grid_plan(n_max: int, m: int | None = None) -> tuple:
+    """The FFT grid (m, idx) of the modes -n_max..n_max: its length m,
+    by default the smallest efficient one >= 4*n_max+1 (alias-free cubic
+    products), and idx, the layout slot of each mode in to_grid/from_grid."""
+    if m is None:
+        m = good_size(4 * n_max + 1, False)  # = scipy.fft.next_fast_len
+    return m, np.arange(-n_max, n_max + 1) % m
 
 
 def odd_padded_grid_size(n_max: int) -> int:

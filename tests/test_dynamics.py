@@ -14,7 +14,6 @@ from fournls.dynamics import (
     Kind,
     NumericFailure,
     Scheme,
-    _conv_plan,
     _nonlinear_rhs_raw,
     cubic_convolution,
     exact_resonant_flow,
@@ -24,7 +23,7 @@ from fournls.dynamics import (
     nonlinearity_resonant,
     step,
 )
-from fournls.spectrum import FourierState, mass
+from fournls.spectrum import FourierState, grid_plan, mass
 
 
 def cubic_convolution_direct(u, v, w):
@@ -70,6 +69,15 @@ class TestEquationKind:
         with pytest.raises(ValueError):
             EquationKind(Kind.FULL_4NLS, 2)
 
+    def test_kind_must_be_a_member(self):
+        # "full" == Kind.FULL_4NLS.value, but a string would select the Wick branch
+        with pytest.raises(ValueError, match="kind must be a Kind, got 'full'"):
+            EquationKind("full", 1)
+
+    def test_bool_mu_rejected(self):
+        with pytest.raises(ValueError, match="mu must be"):
+            EquationKind(Kind.FULL_4NLS, True)
+
 
 class TestIntegratorSpec:
     def test_dt_validation(self):
@@ -78,6 +86,15 @@ class TestIntegratorSpec:
         with pytest.raises(ValueError):
             IntegratorSpec(dt=float("inf"))
         IntegratorSpec(dt=-1e-3)  # backwards integration is allowed
+
+    def test_bool_dt_rejected(self):
+        with pytest.raises(ValueError, match="dt must be"):
+            IntegratorSpec(Scheme.EXP_RK4, True)
+
+    def test_scheme_must_be_a_member(self):
+        # a string would fall through to the Lawson RK4 branch
+        with pytest.raises(ValueError, match="scheme must be a Scheme, got 'strang'"):
+            IntegratorSpec("strang", 1e-3)
 
     @pytest.mark.parametrize("T, dt, k", [(0.1, 1e-2, 10), (0.0, 1e-3, 0), (-0.1, -1e-2, 10)])
     def test_steps(self, T, dt, k):
@@ -144,14 +161,14 @@ class TestSplitting:
         # wick rhs = full rhs + 2 i mu M0 c  (mass term removed by Wick ordering)
         u = random_state(6, seed=5)
         m0 = np.sum(np.abs(u.coeffs) ** 2)
-        plan = _conv_plan(u.n_max)
+        plan = grid_plan(u.n_max)
         r_full = _nonlinear_rhs_raw(u.coeffs, FULL, *plan)
         r_wick = _nonlinear_rhs_raw(u.coeffs, WICK, *plan)
         assert np.allclose(r_wick, r_full + 2j * m0 * u.coeffs, atol=1e-13)
 
     def test_linear_only_mode(self):
         u = random_state(4, seed=6)
-        r = _nonlinear_rhs_raw(u.coeffs, EquationKind(Kind.FULL_4NLS, 0), *_conv_plan(u.n_max))
+        r = _nonlinear_rhs_raw(u.coeffs, EquationKind(Kind.FULL_4NLS, 0), *grid_plan(u.n_max))
         assert np.array_equal(r, np.zeros_like(u.coeffs))
 
 

@@ -37,13 +37,13 @@ class TestProfiles:
     def test_amplitude_is_l2_norm(self):
         for kind in (ProfileKind.EXP_DECAY, ProfileKind.POWER_DECAY):
             u = ProfileSpec(kind, amplitude=2.0, decay=0.4, seed=0).build(10)
-            assert np.isclose(u.l2_norm(), 2.0, rtol=1e-12)
+            assert np.isclose(np.linalg.norm(u.coeffs), 2.0, rtol=1e-12)
 
     def test_single_mode(self):
         u = ProfileSpec(ProfileKind.SINGLE_MODE, amplitude=1.5, decay=0.0,
                         seed=0, mode=3).build(5)
         assert np.isclose(abs(u.mode(3)), 1.5)
-        assert np.isclose(u.l2_norm(), 1.5)
+        assert np.isclose(np.linalg.norm(u.coeffs), 1.5)
 
     def test_seed_determinism(self):
         spec = ProfileSpec(ProfileKind.EXP_DECAY, 1.0, 0.3, seed=5)
@@ -57,6 +57,10 @@ class TestProfiles:
     def test_unnormalisable_profile_names_decay(self, kind, decay):
         with pytest.raises(ValueError, match=f"{kind.value} profile .*decay="):
             ProfileSpec(kind, decay=decay).build(8)
+
+    def test_kind_must_be_a_member(self):
+        with pytest.raises(ValueError, match="kind must be a ProfileKind, got 'single_mode'"):
+            ProfileSpec("single_mode")
 
     def test_single_mode_outside_truncation(self):
         with pytest.raises(ValueError, match="single mode outside truncation"):
@@ -137,8 +141,8 @@ class TestStudyInputs:
 class TestPerturbation:
     def test_support_outside_n_prime(self):
         d = high_frequency_perturbation(np.random.default_rng(0), 4, 10, 0.25)
-        assert np.all(d.coeffs[np.abs(d.modes) <= 4] == 0.0)
-        assert np.isclose(d.l2_norm(), 0.25, rtol=1e-12)
+        assert np.all(d.coeffs[np.abs(np.arange(-10, 11)) <= 4] == 0.0)
+        assert np.isclose(np.linalg.norm(d.coeffs), 0.25, rtol=1e-12)
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="empty perturbation support"):
@@ -223,6 +227,11 @@ class TestSqueeze:
             run_squeeze_probe(u, 1.0, 0.5, 9, 0j, 0.1, 4, 1e-2)  # |n0| > N
         with pytest.raises(ValueError, match="samples must be >= 1"):
             run_squeeze_probe(u, 1.0, 0.5, 1, 0j, 0.1, 4, 1e-2, samples=0)
+
+    def test_kind_must_be_a_member(self):
+        with pytest.raises(ValueError, match="kind must be a Kind, got 'wick'"):
+            run_squeeze_probe(FourierState.zeros(4), 1.0, 0.5, 1, 0j, 0.1, 4, 1e-2,
+                              samples=4, kind="wick")
 
     def test_linear_flow_margin_exact(self):
         rep = run_squeeze_probe(FourierState.zeros(6), 1.0, 0.5, 2, 0j,

@@ -1,7 +1,5 @@
 import fournls
 
-SUBMODULES = {"diagnostics", "dynamics", "experiments", "gauge", "resonance", "spectrum"}
-
 PUBLIC = {
     # spectrum
     "DyadicBlock", "FileFormatError", "FourierState", "Trajectory", "blocks_covering",
@@ -30,4 +28,4 @@ def test_export_list_is_pinned():
     independent oracle reaches it; a helper that only its own tests reach
     and that re-spells another function does not. Adding or removing an
     export means editing this list on purpose."""
-    assert set(fournls.__all__) == PUBLIC | SUBMODULES
+    assert set(fournls.__all__) == PUBLIC

@@ -75,7 +75,7 @@ class TestEnumeration:
     def test_fields_are_python_ints(self):
         # arbitrary-precision H: no numpy integer leaks into the quadruples
         for q in enumerate_nonresonant(1, 6):
-            for value in (q.n1, q.n2, q.n3, q.n, q.h):
+            for value in (q.n1, q.n2, q.n3, q.h):
                 assert type(value) is int
 
     def test_brute_force_equivalence(self):

@@ -23,10 +23,10 @@ from fournls.spectrum import (
     blocks_covering,
     c2c,
     from_grid,
+    grid_plan,
     load_state,
     load_trajectory,
     odd_padded_grid_size,
-    padded_grid_size,
     save_state,
     save_trajectory,
     to_grid,
@@ -99,14 +99,14 @@ class TestFourierState:
         v = u.truncate_to(1)
         assert v.n_max == 1
         assert v.mode(1) == 2.0
-        assert v.l2_norm() == 2.0
+        assert np.linalg.norm(v.coeffs) == 2.0
 
     @given(coeff_strategy)
     @settings(max_examples=40, deadline=None)
     def test_parseval(self, u):
-        m = 2 * u.n_max + 1
-        grid = to_grid(u.coeffs, m, u.modes % m) * m
-        assert np.isclose(np.sum(np.abs(grid) ** 2) / m, u.l2_norm() ** 2,
+        m, idx = grid_plan(u.n_max, 2 * u.n_max + 1)
+        grid = to_grid(u.coeffs, m, idx) * m
+        assert np.isclose(np.sum(np.abs(grid) ** 2) / m, np.linalg.norm(u.coeffs) ** 2,
                           rtol=1e-12, atol=1e-12)
 
 
@@ -158,7 +158,7 @@ class TestGridSizes:
     @given(st.integers(min_value=0, max_value=300))
     @settings(max_examples=50, deadline=None)
     def test_padded_grid_alias_free(self, n_max):
-        assert padded_grid_size(n_max) >= 4 * n_max + 1
+        assert grid_plan(n_max)[0] >= 4 * n_max + 1
         m = odd_padded_grid_size(n_max)
         assert m >= 4 * n_max + 1 and m % 2 == 1
 
@@ -166,10 +166,23 @@ class TestGridSizes:
         # pocketfft's good_size is what scipy.fft.next_fast_len caches
         for n_max in range(5001):
             m = next_fast_len(4 * n_max + 1)
-            assert padded_grid_size(n_max) == m
+            assert grid_plan(n_max)[0] == m
             while m % 2 == 0:
                 m = next_fast_len(m + 1)
             assert odd_padded_grid_size(n_max) == m
+
+    @pytest.mark.parametrize("n_max", [0, 1, 16, 33, 1024])
+    def test_plan_slots_are_distinct_and_on_the_grid(self, n_max):
+        m, idx = grid_plan(n_max)
+        assert len(idx) == 2 * n_max + 1 == len(set(idx.tolist()))
+        assert idx.min() >= 0 and idx.max() < m
+
+    @pytest.mark.parametrize("n_max", [0, 1, 16, 33, 1024])
+    def test_collocation_plan_is_a_permutation(self, n_max):
+        # the STRANG layout: the 2*n_max+1 modes fill a grid of that length
+        m, idx = grid_plan(n_max, 2 * n_max + 1)
+        assert m == 2 * n_max + 1
+        assert sorted(idx.tolist()) == list(range(m))
 
 
 class TestTransforms:
