@@ -71,14 +71,10 @@ def dyadic_gap_profile(traj: Trajectory, s: float) -> dict:
 
     Returns {level: array over samples}.
     """
+    n = traj.n_max
     gap = _modulus_gap(traj)
-    ns = np.arange(-traj.n_max, traj.n_max + 1)
-    w = (1.0 + ns.astype(np.float64) ** 2) ** s
-    out = {}
-    for block in blocks_covering(traj.n_max):
-        m = block.mask(traj.n_max)
-        out[block.level] = np.sum(gap[:, m] * w[m], axis=1)
-    return out
+    gap *= (1.0 + np.arange(-n, n + 1.0) ** 2) ** s
+    return {block.level: np.sum(gap[:, block.mask(n)], axis=1) for block in blocks_covering(n)}
 
 
 def modulus_rate(u: FourierState, mu_sign: int = 1) -> np.ndarray:
@@ -141,15 +137,13 @@ class SpaceTimeField:
             phi = ns.astype(np.float64) ** 4
         else:
             phi = phase.mu_array(traj.n_max)
-        # coeffs * exp(-1j * outer(times, phi)), tapered, transformed and
+        # exp(-1j * outer(times, phi)) * coeffs, tapered, transformed and
         # scaled by 1/sqrt(k), with at most two (samples, modes) arrays alive.
-        # The product with coeffs stays an operator on a fresh temporary:
-        # numpy may then multiply in place with the operands swapped, and
-        # the order moves the last bit, so a fixed order would change results.
+        # Fresh temporaries lead each complex product: numpy keeps this order at every size.
         tilde = np.zeros(traj.coeffs.shape, dtype=np.complex128)
         np.outer(traj.times, phi, out=tilde.real)
         np.multiply(-1j, tilde, out=tilde)
-        tilde = traj.coeffs * np.exp(tilde)
+        tilde = np.exp(tilde) * traj.coeffs
         np.multiply(self.taper[:, None], tilde, out=tilde)
         c2c(tilde, (0,), True, 0, tilde, 1)
         np.divide(tilde, np.sqrt(k), out=tilde)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import (FourierState, Trajectory, as_rows, from_grid, grid_plan, mass,
-                       odd_padded_grid_size, resize, to_grid)
+from .spectrum import (FourierState, Trajectory, _is_int, _is_real, as_rows, from_grid,
+                       grid_plan, mass, odd_padded_grid_size, resize, to_grid)
 
 
 class NumericFailure(RuntimeError):
@@ -47,7 +47,7 @@ class EquationKind:
     def __post_init__(self):
         if not isinstance(self.kind, Kind):
             raise ValueError(f"kind must be a Kind, got {self.kind!r}")
-        if isinstance(self.mu, bool) or self.mu not in (-1, 0, 1):
+        if not _is_int(self.mu) or self.mu not in (-1, 0, 1):
             raise ValueError("mu must be +1, -1, or 0 (linear-only test mode)")
 
 
@@ -77,7 +77,7 @@ class IntegratorSpec:
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
             raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
-        if isinstance(self.dt, bool) or self.dt == 0.0 or not math.isfinite(self.dt):
+        if not _is_real(self.dt) or self.dt == 0.0:
             raise ValueError("dt must be a nonzero finite number")
 
     def steps(self, T: float) -> int:
@@ -102,7 +102,7 @@ def _cubic_conv_raw(cu, cv, cw, m, idx) -> np.ndarray:
     gu = to_grid(cu, m, idx)
     gv = gu if cv is cu else to_grid(cv, m, idx)
     gw = gu if cw is cu else to_grid(cw, m, idx)
-    return from_grid(gu * np.conj(gv) * gw * (m * m), idx)
+    return from_grid(np.conj(gv) * gu * gw * (m * m), idx)
 
 
 def cubic_convolution(u: FourierState, v: FourierState, w: FourierState) -> FourierState:
@@ -171,7 +171,7 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
                 phase = -kind.mu * np.abs(grid) ** 2 * dt
                 if kind.kind is Kind.WICK_4WNLS:
                     phase = phase + 2.0 * kind.mu * mass(c)[..., None] * dt
-                c = from_grid(grid * np.exp(1j * phase), idx) / m
+                c = from_grid(np.exp(1j * phase) * grid, idx) / m
             return e_half * c
 
         return strang
@@ -183,12 +183,13 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
     def nl(c):
         return _nonlinear_rhs_raw(c, kind, m, idx)
 
+    # Fresh temporaries lead each complex product: numpy keeps this order at every size.
     def rk4(c0):
         k1 = nl(c0)
-        k2 = back_half * nl(e_half * (c0 + 0.5 * dt * k1))
-        k3 = back_half * nl(e_half * (c0 + 0.5 * dt * k2))
-        k4 = back_full * nl(e_full * (c0 + dt * k3))
-        return e_full * (c0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        k2 = nl((c0 + 0.5 * dt * k1) * e_half) * back_half
+        k3 = nl((c0 + 0.5 * dt * k2) * e_half) * back_half
+        k4 = nl((c0 + dt * k3) * e_full) * back_full
+        return (c0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * e_full
 
     return rk4
 
@@ -221,8 +222,8 @@ def _prepare(c0: np.ndarray, T: float, spec: IntegratorSpec,
              sample_stride: int) -> tuple[np.ndarray, int]:
     """integrate's argument checks: the datum rows (lifted under STRANG)
     and the step count k."""
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
+    if not _is_int(sample_stride) or sample_stride < 1:
+        raise ValueError(f"sample_stride must be an integer >= 1, got {sample_stride!r}")
     k = spec.steps(T)
     if k % sample_stride != 0:
         raise ValueError("sample_stride must divide the number of steps")

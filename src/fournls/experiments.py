@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import (EquationKind, IntegratorSpec, Kind, Scheme, integrate,
                        integrate_batch)
-from .spectrum import FourierState, resize
+from .spectrum import FourierState, _is_int, _is_real, resize
 
 
 def derive_rng(root_seed: int, *key) -> np.random.Generator:
@@ -53,6 +53,12 @@ class ProfileSpec:
     def __post_init__(self):
         if not isinstance(self.kind, ProfileKind):
             raise ValueError(f"kind must be a ProfileKind, got {self.kind!r}")
+        if not _is_real(self.amplitude) or self.amplitude < 0:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not _is_int(self.mode):
+            raise ValueError(f"mode must be an integer, got {self.mode!r}")
 
     def build(self, n_max: int) -> FourierState:
         if self.kind is ProfileKind.SINGLE_MODE:

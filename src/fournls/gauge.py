@@ -11,14 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import EquationKind, IntegratorSpec, Kind, integrate
-from .spectrum import FourierState, mass
+from .spectrum import FourierState, _is_real, mass
 
 
 def gauge_apply(u, t, mass0: float, mu_sign: int = 1):
     """Multiply every mode by e^{2 i mu t mass0}: of one FourierState at time
     t, or of amplitude rows (..., 2*n_max+1) with one time per row in t."""
-    if mass0 < 0:
-        raise ValueError("mass0 must be nonnegative")
+    if not _is_real(mass0) or mass0 < 0:
+        raise ValueError(f"mass0 must be nonnegative and finite, got {mass0!r}")
     if isinstance(u, FourierState):
         return u.with_coeffs(gauge_apply(u.coeffs, t, mass0, mu_sign))
     return np.exp(2j * mu_sign * np.asarray(t)[..., None] * mass0) * u

@@ -41,6 +41,16 @@ class FileFormatError(ValueError):
     """Raised when a state/trajectory file cannot be parsed."""
 
 
+def _is_int(x) -> bool:
+    """The integer rule: a Python or numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """The real-number rule: an integer by _is_int, or a finite float."""
+    return _is_int(x) or isinstance(x, (float, np.floating)) and math.isfinite(x)
+
+
 def as_rows(c, name: str) -> np.ndarray:
     """c as C-contiguous complex128 rows of shape (B, 2*n_max+1) with B >= 1,
     all finite; a ValueError naming the argument otherwise."""
@@ -72,7 +82,7 @@ class FourierState:
 
     def __post_init__(self):
         n = self.n_max
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError(f"n_max must be a nonnegative integer, got {n!r}")
         object.__setattr__(self, "n_max", int(n))
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -130,8 +140,8 @@ class Trajectory:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.dt) and self.dt != 0.0):
-            raise ValueError(f"need finite t0, finite nonzero dt; got {self.t0}, {self.dt}")
+        if not (_is_real(self.t0) and _is_real(self.dt) and self.dt != 0.0):
+            raise ValueError(f"need finite t0, finite nonzero dt; got {self.t0!r}, {self.dt!r}")
         c = as_rows(self.coeffs, "coeffs")
         if c.flags.writeable:
             c = c.copy()
@@ -170,8 +180,7 @@ class DyadicBlock:
 
     def __post_init__(self):
         n = self.level
-        if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
-                or n < 1 or (n & (n - 1)) != 0):
+        if not _is_int(n) or n < 1 or (n & (n - 1)) != 0:
             raise ValueError(f"level must be a power of two >= 1, got {n}")
 
     def contains(self, n):

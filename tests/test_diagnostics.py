@@ -31,7 +31,8 @@ from fournls.dynamics import (
     step,
 )
 from fournls.resonance import ModifiedPhase
-from fournls.spectrum import DyadicBlock, FourierState, Trajectory, blocks_covering, c2c
+from fournls.spectrum import (DyadicBlock, FourierState, Trajectory, blocks_covering, c2c,
+                              resize)
 
 
 class TestMassHamiltonian:
@@ -265,8 +266,7 @@ class TestYsbNorm:
     @pytest.mark.parametrize("modified", [False, True], ids=["plain", "modified"])
     def test_bit_equal_to_the_one_line_expressions(self, samples, n_max, modified):
         # time_modes and ysb_norm work in place; their values are those of
-        # the plain expressions below. Above 256 KiB numpy may multiply a
-        # temporary in place with its operands swapped, so both sizes count.
+        # the plain expressions below.
         rng = np.random.default_rng(samples)
         shape = (samples, 2 * n_max + 1)
         c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -275,7 +275,7 @@ class TestYsbNorm:
         phase = ModifiedPhase(tr[0]) if modified else None
         ns = np.arange(-n_max, n_max + 1)
         phi = phase.mu_array(n_max) if modified else ns.astype(np.float64) ** 4
-        reduced = tr.coeffs * np.exp(-1j * np.outer(tr.times, phi))
+        reduced = np.exp(-1j * np.outer(tr.times, phi)) * tr.coeffs
         tilde = c2c(field.taper[:, None] * reduced, (0,), True, 0, None, 1) / np.sqrt(samples)
         tau = 2.0 * np.pi * np.fft.fftfreq(samples, d=tr.dt)
         modes = field.time_modes(phase)
@@ -289,6 +289,19 @@ class TestYsbNorm:
         want = float(np.sqrt(np.sum(wn * np.sum(np.abs(tilde), axis=0) ** 2)))
         assert ysb_norm(field, 0.5, 0.0, phase, z_part=True) == want
         assert ysb_norm(field, 0.5, 0.0, phase, z_part=True, modes=modes) == want
+
+    @pytest.mark.parametrize("modified", [False, True], ids=["plain", "modified"])
+    def test_time_modes_of_a_mode_crop_are_the_crop_of_time_modes(self, modified):
+        # 2001 x 65 amplitudes hold 2.1 MB and 2001 x 5 hold 160 KB, on
+        # either side of numpy's 256 KiB temporary-elision threshold.
+        rng = np.random.default_rng(7)
+        c = rng.normal(size=(2001, 65)) + 1j * rng.normal(size=(2001, 65))
+        full, crop = Trajectory(0.1, 1e-4, c), Trajectory(0.1, 1e-4, resize(c, 2))
+        phase = ModifiedPhase(full[0]) if modified else None
+        tau, tilde = SpaceTimeField(full).time_modes(phase)
+        tau_crop, tilde_crop = SpaceTimeField(crop).time_modes(phase)
+        assert tau_crop.tobytes() == tau.tobytes()
+        assert tilde_crop.tobytes() == resize(tilde, 2).tobytes()
 
     def test_weights_increase_with_b(self):
         tr = self._traj()

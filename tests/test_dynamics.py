@@ -78,6 +78,10 @@ class TestEquationKind:
         with pytest.raises(ValueError, match="mu must be"):
             EquationKind(Kind.FULL_4NLS, True)
 
+    def test_float_mu_rejected(self):
+        with pytest.raises(ValueError, match="mu must be"):
+            EquationKind(Kind.FULL_4NLS, 1.0)
+
 
 class TestIntegratorSpec:
     def test_dt_validation(self):
@@ -90,6 +94,10 @@ class TestIntegratorSpec:
     def test_bool_dt_rejected(self):
         with pytest.raises(ValueError, match="dt must be"):
             IntegratorSpec(Scheme.EXP_RK4, True)
+
+    def test_string_dt_rejected(self):
+        with pytest.raises(ValueError, match="dt must be"):
+            IntegratorSpec(dt="0.1")
 
     def test_scheme_must_be_a_member(self):
         # a string would fall through to the Lawson RK4 branch
@@ -205,6 +213,12 @@ class TestIntegrate:
             integrate(random_state(2), 0.1, IntegratorSpec(dt=1e-2), FULL,
                       sample_stride=3)
 
+    @pytest.mark.parametrize("stride", [True, 2.5])
+    def test_stride_must_be_an_integer(self, stride):
+        with pytest.raises(ValueError, match="sample_stride must be an integer"):
+            integrate(random_state(2), 0.1, IntegratorSpec(dt=1e-2), FULL,
+                      sample_stride=stride)
+
     def test_sampling_layout(self):
         tr = integrate(random_state(3), 0.1, IntegratorSpec(dt=1e-2), FULL,
                        sample_stride=5)
@@ -301,16 +315,21 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate_batch(data, T, IntegratorSpec(dt=1e-2), FULL, stride)
 
-    @pytest.mark.parametrize("n_max", [5, 8, 16])
-    @pytest.mark.parametrize("batch", [1, 3])
+    # numpy elides a temporary of 256 KiB or more, and only when the other
+    # operand has its shape: (64, 128) and (4, 1024) cross that line in the
+    # batch but not in one row; at (2, 8192) one row crosses it, while the
+    # batch's products with a broadcast phase never elide.
+    @pytest.mark.parametrize("batch, n_max", [
+        (b, n) for b in (1, 3) for n in (5, 8, 16)] + [(64, 128), (4, 1024), (2, 8192)])
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_batch_matches_loop(self, case, batch, n_max):
         spec, kind = KERNEL_CASES[case]
+        T = 6e-3 if n_max <= 16 else 2e-3
         rows = [random_state(n_max, seed=seed) for seed in range(batch)]
-        out = integrate_batch(np.stack([u.coeffs for u in rows]), 6e-3, spec, kind, 2)
+        out = integrate_batch(np.stack([u.coeffs for u in rows]), T, spec, kind, 2)
         assert not out.flags.writeable
         for b, u in enumerate(rows):
-            tr = integrate(u, 6e-3, spec, kind, 2)
+            tr = integrate(u, T, spec, kind, 2)
             assert out.shape == (len(tr), batch, 2 * tr.n_max + 1)
             assert np.array_equal(out[:, b].view(np.float64), tr.coeffs.view(np.float64))
 

@@ -62,6 +62,12 @@ class TestProfiles:
         with pytest.raises(ValueError, match="kind must be a ProfileKind, got 'single_mode'"):
             ProfileSpec("single_mode")
 
+    @pytest.mark.parametrize("field, value", [
+        ("amplitude", -1.0), ("amplitude", True), ("seed", -1), ("mode", 1.5)])
+    def test_field_checks_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ProfileSpec(ProfileKind.SINGLE_MODE, **{field: value})
+
     def test_single_mode_outside_truncation(self):
         with pytest.raises(ValueError, match="single mode outside truncation"):
             ProfileSpec(ProfileKind.SINGLE_MODE, mode=6).build(5)

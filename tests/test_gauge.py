@@ -45,6 +45,11 @@ class TestGaugeTransform:
         with pytest.raises(ValueError, match="mass0 must be nonnegative"):
             gauge_apply(random_state(4, seed=1), 0.37, -0.8)
 
+    @pytest.mark.parametrize("mass0", [np.nan, np.inf])
+    def test_rejects_non_finite_mass(self, mass0):
+        with pytest.raises(ValueError, match="mass0 must be nonnegative and finite"):
+            gauge_apply(np.ones((2, 5)), np.zeros(2), mass0)
+
 
 class TestGaugeEquivalence:
     def test_small_gap_random_datum(self):

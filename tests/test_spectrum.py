@@ -234,6 +234,11 @@ class TestTrajectory:
             with pytest.raises(ValueError):
                 Trajectory(t0, dt, rows)
 
+    @pytest.mark.parametrize("t0, dt", [(0.0, True), ("0", 0.1)])
+    def test_t0_and_dt_must_be_real_numbers(self, t0, dt):
+        with pytest.raises(ValueError, match="need finite t0, finite nonzero dt"):
+            Trajectory(t0, dt, np.zeros((1, 3)))
+
     def test_requires_shared_n_max(self):
         # a 2-D array cannot mix radii: ragged rows and even widths are rejected
         for rows in ([[0.0] * 3, [0.0] * 5], np.zeros((2, 4)), np.zeros((0, 3)),
