@@ -32,8 +32,8 @@ def hamiltonian(u, mu_sign: int = 1):
     """E(u) = sum n^4 |c_n|^2 - (mu/2) sum_{n1-n2+n3-n4=0} c1 conj(c2) c3 conj(c4)
     of one FourierState (a float) or of each row of (..., 2*n_max+1) amplitudes.
 
-    The quartic sum equals (1/2pi) int |u|^4 dx and is evaluated alias-free
-    on a padded grid along the last axis. E is conserved by both exact flows
+    The quartic sum equals (1/2pi) int |u|^4 dx, the mean of |u(x_j)|^4 over an
+    alias-free padded grid along the last axis. E is conserved by both exact flows
     and by the truncated flow (which is Hamiltonian on the projected space).
     """
     if isinstance(u, FourierState):
@@ -42,7 +42,7 @@ def hamiltonian(u, mu_sign: int = 1):
     n_max = (u.shape[-1] - 1) // 2
     m, idx = grid_plan(n_max)
     quadratic = np.sum(np.arange(-n_max, n_max + 1.0) ** 4 * np.abs(u) ** 2, axis=-1)
-    quartic = np.sum(np.abs(to_grid(u, m, idx) * m) ** 4, axis=-1) / m
+    quartic = np.sum(np.abs(to_grid(u, m, idx)) ** 4, axis=-1) / m
     return quadratic - 0.5 * mu_sign * quartic
 
 
@@ -137,16 +137,15 @@ class SpaceTimeField:
             phi = ns.astype(np.float64) ** 4
         else:
             phi = phase.mu_array(traj.n_max)
-        # exp(-1j * outer(times, phi)) * coeffs, tapered, transformed and
-        # scaled by 1/sqrt(k), with at most two (samples, modes) arrays alive.
+        # exp(-1j * outer(times, phi)) * coeffs, tapered and transformed
+        # (unitary scale 1/sqrt(k)), with at most two (samples, modes) arrays alive.
         # Fresh temporaries lead each complex product: numpy keeps this order at every size.
         tilde = np.zeros(traj.coeffs.shape, dtype=np.complex128)
         np.outer(traj.times, phi, out=tilde.real)
         np.multiply(-1j, tilde, out=tilde)
         tilde = np.exp(tilde) * traj.coeffs
         np.multiply(self.taper[:, None], tilde, out=tilde)
-        c2c(tilde, (0,), True, 0, tilde, 1)
-        np.divide(tilde, np.sqrt(k), out=tilde)
+        c2c(tilde, (0,), True, 1, tilde, 1)
         tau = 2.0 * np.pi * np.fft.fftfreq(k, d=traj.dt)
         return tau, tilde
 

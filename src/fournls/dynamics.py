@@ -83,9 +83,9 @@ class IntegratorSpec:
     def steps(self, T: float) -> int:
         """The step count k with T = k*dt; a ValueError unless T is a
         nonnegative integer multiple of dt (in units of the signed step)."""
-        k_float = T / self.dt
+        k_float = T / self.dt if _is_real(T) else math.nan
         if not math.isfinite(k_float):
-            raise ValueError(f"T={T} and dt={self.dt} give no finite step count")
+            raise ValueError(f"T={T!r} and dt={self.dt} give no finite step count")
         k = round(k_float)
         if k < 0 or abs(k_float - k) > 1e-12 * max(1.0, abs(k_float)):
             raise ValueError(f"T={T} is not a nonnegative integer multiple of dt={self.dt}")
@@ -93,7 +93,7 @@ class IntegratorSpec:
 
 
 def _cubic_conv_raw(cu, cv, cw, m, idx) -> np.ndarray:
-    """Raw-array cubic convolution: one zero-padded grid round trip.
+    """Raw-array cubic convolution: the coefficients of the field values conj(v) u w.
 
     An argument that is the same array as cu reuses its inverse FFT, so
     the self-product costs one inverse transform instead of three.
@@ -102,7 +102,7 @@ def _cubic_conv_raw(cu, cv, cw, m, idx) -> np.ndarray:
     gu = to_grid(cu, m, idx)
     gv = gu if cv is cu else to_grid(cv, m, idx)
     gw = gu if cw is cu else to_grid(cw, m, idx)
-    return from_grid(np.conj(gv) * gu * gw * (m * m), idx)
+    return from_grid(np.conj(gv) * gu * gw, idx)
 
 
 def cubic_convolution(u: FourierState, v: FourierState, w: FourierState) -> FourierState:
@@ -167,11 +167,11 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
         def strang(c):
             c = e_half * c
             if kind.mu != 0:
-                grid = to_grid(c, m, idx) * m
+                grid = to_grid(c, m, idx)
                 phase = -kind.mu * np.abs(grid) ** 2 * dt
                 if kind.kind is Kind.WICK_4WNLS:
                     phase = phase + 2.0 * kind.mu * mass(c)[..., None] * dt
-                c = from_grid(np.exp(1j * phase) * grid, idx) / m
+                c = from_grid(np.exp(1j * phase) * grid, idx)
             return e_half * c
 
         return strang

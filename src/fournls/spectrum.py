@@ -200,19 +200,19 @@ def blocks_covering(n_max: int) -> list[DyadicBlock]:
 
 
 def to_grid(c, m: int, idx) -> np.ndarray:
-    """Zero-pad the amplitudes c, shape (..., 2*n_max+1), onto the length-m
-    FFT layout idx and transform the last axis to the physical grid
-    (without the factor m): scipy.fft.ifft, bit for bit."""
+    """The field values u(x_j), x_j = 2 pi j/m, of the amplitudes c, shape
+    (..., 2*n_max+1), zero-padded onto the length-m FFT layout idx: the unscaled
+    inverse transform of the last axis, scipy.fft.ifft(..., norm="forward") bit for bit."""
     spectrum = np.zeros(c.shape[:-1] + (m,), dtype=np.complex128)
     spectrum.T[idx] = c.T  # scatter along the last axis; cheaper than [..., idx]
-    return c2c(spectrum, (-1,), False, 2, spectrum, 1)  # in place, 1/m, one thread
+    return c2c(spectrum, (-1,), False, 0, spectrum, 1)  # in place, unscaled, one thread
 
 
 def from_grid(g: np.ndarray, idx) -> np.ndarray:
-    """The modes at layout idx of the forward transform of the last axis
-    of g, a C-contiguous complex128 grid: scipy.fft.fft(g).take(idx,
-    axis=-1), bit for bit. Transforms in place, so g is overwritten."""
-    return c2c(g, (-1,), True, 0, g, 1).take(idx, axis=-1)
+    """The coefficients c_n at layout idx of the field values g, a C-contiguous
+    complex128 grid along the last axis: the forward transform with 1/m, scipy.fft.fft(g,
+    norm="forward").take(idx, axis=-1) bit for bit. Transforms in place, so g is overwritten."""
+    return c2c(g, (-1,), True, 2, g, 1).take(idx, axis=-1)
 
 
 def grid_plan(n_max: int, m: int | None = None) -> tuple:

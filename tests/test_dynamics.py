@@ -208,6 +208,11 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=re.escape(f"T={T} and dt={dt}")):
             integrate(random_state(2), T, IntegratorSpec(dt=dt), FULL)
 
+    @pytest.mark.parametrize("T", [True, "0.1", 1 + 0j])
+    def test_non_real_end_time_rejected(self, T):
+        with pytest.raises(ValueError, match=re.escape(f"T={T!r} and dt=0.05")):
+            integrate(random_state(2), T, IntegratorSpec(dt=0.05), FULL)
+
     def test_stride_must_divide(self):
         with pytest.raises(ValueError):
             integrate(random_state(2), 0.1, IntegratorSpec(dt=1e-2), FULL,

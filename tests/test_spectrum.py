@@ -105,7 +105,7 @@ class TestFourierState:
     @settings(max_examples=40, deadline=None)
     def test_parseval(self, u):
         m, idx = grid_plan(u.n_max, 2 * u.n_max + 1)
-        grid = to_grid(u.coeffs, m, idx) * m
+        grid = to_grid(u.coeffs, m, idx)
         assert np.isclose(np.sum(np.abs(grid) ** 2) / m, np.linalg.norm(u.coeffs) ** 2,
                           rtol=1e-12, atol=1e-12)
 
@@ -187,7 +187,7 @@ class TestGridSizes:
 
 class TestTransforms:
     """to_grid and from_grid call scipy's pocketfft kernel directly; they
-    must stay scipy.fft.ifft and scipy.fft.fft bit for bit."""
+    must stay scipy.fft's norm="forward" pair, ifft and fft, bit for bit."""
 
     @pytest.mark.parametrize("m", [5, 65, 66, 130, 4107])
     @pytest.mark.parametrize("rows", [(), (3,)], ids=["1d", "batch"])
@@ -201,17 +201,19 @@ class TestTransforms:
         spectrum[..., idx] = c
         g = to_grid(c, m, idx)
         assert np.array_equal(c.view(np.float64), c_before.view(np.float64))
-        assert np.array_equal(g.view(np.float64), ifft(spectrum).view(np.float64))
+        expected = ifft(spectrum, norm="forward")
+        assert np.array_equal(g.view(np.float64), expected.view(np.float64))
         g = rng.normal(size=rows + (m, 2)).view(np.complex128)[..., 0]
-        expected = fft(g).take(idx, axis=-1)
+        expected = fft(g, norm="forward").take(idx, axis=-1)
         assert np.array_equal(from_grid(g, idx).view(np.float64), expected.view(np.float64))
 
     @pytest.mark.parametrize("k", [8, 9, 2001])
     def test_time_transform_bit_equal_to_scipy_fft(self, k):
-        # SpaceTimeField.time_modes: a forward transform along axis 0
+        # SpaceTimeField.time_modes: a unitary forward transform along axis 0
         x = np.random.default_rng(k).normal(size=(k, 65, 2)).view(np.complex128)[..., 0]
-        got = c2c(x, (0,), True, 0, None, 1)
-        assert np.array_equal(got.view(np.float64), fft(x, axis=0).view(np.float64))
+        got = c2c(x, (0,), True, 1, None, 1)
+        expected = fft(x, axis=0, norm="ortho")
+        assert np.array_equal(got.view(np.float64), expected.view(np.float64))
 
     def test_scipy_fft_reuses_the_loaded_extension(self):
         assert scipy.fft._pocketfft.pypocketfft is spectrum._pypocketfft
