@@ -88,6 +88,9 @@ _PROFILE_KEYS = {
     "decay": (float, 0.5, None),
     "mode": (int, 0, None),
 }
+# the sample stride, draw, datum family and saved datum of a subcommand that integrates
+_DATUM_KEYS = {"stride": (int, 1, POSITIVE), **_FLOW_KEYS, **_PROFILE_KEYS,
+               "state": (str, "", None)}
 
 def _coerce(key, typ, raw):
     try:
@@ -280,18 +283,14 @@ _SUBCOMMANDS = {
         "dt": (float, None, POSITIVE),
         "T": (float, None, POSITIVE),
         "scheme": (str, "exp_rk4", _choices(Scheme)),
-        "stride": (int, 1, POSITIVE),
-        **_FLOW_KEYS, **_PROFILE_KEYS,
-        "state": (str, "", None),
+        **_DATUM_KEYS,
         "out": (str, "trajectory.jsonl", None),
     }),
     "gauge-check": (_cmd_gauge_check, {
         "n_max": (int, 32, POSITIVE),
         "dt": (float, 1e-3, POSITIVE),
         "T": (float, 1.0, POSITIVE),
-        "stride": (int, 1, POSITIVE),
-        **_FLOW_KEYS, **_PROFILE_KEYS,
-        "state": (str, "", None),
+        **_DATUM_KEYS,
         "out": (str, "gauge_gap.csv", None),
     }),
     "resonance": (_cmd_resonance, {

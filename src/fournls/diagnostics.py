@@ -50,7 +50,8 @@ def symplectic_form(u: FourierState, v: FourierState) -> float:
     """omega0(u, v) = -Im int u conj(v) dx = -Im(2pi sum_n u_n conj(v_n))."""
     if u.n_max != v.n_max:
         raise ValueError("symplectic_form requires equal n_max")
-    return float(-np.imag(2.0 * np.pi * np.sum(u.coeffs * np.conj(v.coeffs))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a float may be inf or nan
+        return float(-np.imag(2.0 * np.pi * np.sum(u.coeffs * np.conj(v.coeffs))))
 
 
 def smoothing_gap(traj: Trajectory) -> np.ndarray:
@@ -71,10 +72,10 @@ def dyadic_gap_profile(traj: Trajectory, s: float) -> dict:
 
     Returns {level: array over samples}.
     """
-    n = traj.n_max
+    n = np.arange(-traj.n_max, traj.n_max + 1.0)
     gap = _modulus_gap(traj)
-    gap *= (1.0 + np.arange(-n, n + 1.0) ** 2) ** s
-    return {block.level: np.sum(gap[:, block.mask(n)], axis=1) for block in blocks_covering(n)}
+    gap *= (1.0 + n**2) ** s
+    return {b.level: np.sum(gap[:, b.contains(n)], axis=1) for b in blocks_covering(traj.n_max)}
 
 
 def modulus_rate(u: FourierState, mu_sign: int = 1) -> np.ndarray:

@@ -277,7 +277,7 @@ def run_squeeze_probe(u_star: FourierState, R: float, r: float, n0: int,
     dim = 2 * N + 1
 
     sweep = min(16, samples)
-    interior = max(0, samples // 10) if samples > sweep else 0
+    interior = samples // 10 if samples > sweep else 0
     n_random = samples - sweep - interior
 
     candidates = []  # (label, direction, radius)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import FourierState, resize
+from .spectrum import FourierState, _is_int, resize
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,9 @@ def enumerate_nonresonant(n: int, n_max: int) -> list[ResonanceQuadruple]:
     Non-resonant means (n1-n2)(n2-n3) != 0. Output is lexicographic in
     (n1, n2); n3 is then determined. Fields are Python integers.
     """
+    for name, v in (("n", n), ("n_max", n_max)):
+        if not _is_int(v):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     n1, n2, n3 = (a.tolist() for a in _nonresonant(n, n_max))
     return [ResonanceQuadruple(a, b, c) for a, b, c in zip(n1, n2, n3)]
 
@@ -84,7 +87,8 @@ class ModifiedPhase:
                 f"frequency {n} outside reference support |n| <= {self.reference.n_max}"
             )
         # mu_array's np.abs(c0) ** 2 squares; on a scalar, ** 2 would call pow
-        return float(np.square(np.abs(self.reference.mode(n))))
+        with np.errstate(over="ignore", invalid="ignore"):  # a float may be inf
+            return float(np.square(np.abs(self.reference.mode(n))))
 
     def mu(self, n: int) -> float:
         return float(n) ** 4 + self.weight(n)
@@ -95,7 +99,8 @@ class ModifiedPhase:
             raise ValueError(
                 f"n_max must be in 0..{self.reference.n_max}, got {n_max}")
         c0 = resize(self.reference.coeffs, n_max)
-        return np.arange(-n_max, n_max + 1, dtype=np.float64) ** 4 + np.abs(c0) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):  # a weight may be inf
+            return np.arange(-n_max, n_max + 1, dtype=np.float64) ** 4 + np.abs(c0) ** 2
 
 
 def g_value(n1: int, n2: int, n3: int, phase: ModifiedPhase) -> float:
@@ -143,6 +148,8 @@ def normal_form_boundary(u: FourierState, n: int) -> complex:
     sum over non-resonant triples of c(n1) conj(c(n2)) c(n3) conj(c(n)) / (iH).
     """
     n_max = u.n_max
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if abs(n) > n_max:
         raise ValueError(f"|n|={abs(n)} exceeds state n_max={n_max}")
     c = u.coeffs
@@ -151,8 +158,9 @@ def normal_form_boundary(u: FourierState, n: int) -> complex:
         return 0.0 + 0.0j
     n1, n2, n3 = _nonresonant(n, n_max)
     h = h_factored(n1, n2, n3).astype(np.float64)
-    terms = c[n1 + n_max] * np.conj(c[n2 + n_max]) * c[n3 + n_max] * np.conj(cn)
-    return complex(np.sum(terms / (1j * h)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the sum may be inf or nan
+        terms = c[n1 + n_max] * np.conj(c[n2 + n_max]) * c[n3 + n_max] * np.conj(cn)
+        return complex(np.sum(terms / (1j * h)))
 
 
 def resonance_table_rows(n_max: int):

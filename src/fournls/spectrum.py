@@ -47,8 +47,11 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    """The real-number rule: an integer by _is_int, or a finite float."""
-    return _is_int(x) or isinstance(x, (float, np.floating)) and math.isfinite(x)
+    """The real-number rule: an integer by _is_int or a float, finite as a float."""
+    try:
+        return (_is_int(x) or isinstance(x, (float, np.floating))) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def as_rows(c, name: str) -> np.ndarray:
@@ -85,14 +88,13 @@ class FourierState:
         if not _is_int(n) or n < 0:
             raise ValueError(f"n_max must be a nonnegative integer, got {n!r}")
         object.__setattr__(self, "n_max", int(n))
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = np.array(self.coeffs, dtype=np.complex128)
         if c.shape != (2 * self.n_max + 1,):
             raise ValueError(
                 f"coeffs must have length {2 * self.n_max + 1}, got {c.shape}"
             )
         if not np.all(np.isfinite(c.view(np.float64))):
             raise ValueError("coeffs contain NaN or Inf")
-        c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -122,11 +124,6 @@ class FourierState:
         """Resize to radius n_max: drop the modes with |n| > n_max, or
         zero-pad when n_max exceeds the current radius."""
         return FourierState(n_max, resize(self.coeffs, n_max))
-
-    def allclose(self, other: "FourierState", atol: float = 0.0, rtol: float = 1e-13) -> bool:
-        return self.n_max == other.n_max and np.allclose(
-            self.coeffs, other.coeffs, atol=atol, rtol=rtol
-        )
 
 
 @dataclass(frozen=True)
@@ -188,9 +185,6 @@ class DyadicBlock:
         mask for an integer array."""
         lo, hi = (0, 1) if self.level == 1 else (self.level // 2, 2 * self.level)
         return (lo <= abs(n)) & (abs(n) <= hi)
-
-    def mask(self, n_max: int) -> np.ndarray:
-        return self.contains(np.arange(-n_max, n_max + 1))
 
 
 def blocks_covering(n_max: int) -> list[DyadicBlock]:

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -30,7 +29,7 @@ from fournls.dynamics import (
     integrate_batch,
     step,
 )
-from fournls.resonance import ModifiedPhase
+from fournls.resonance import ModifiedPhase, normal_form_boundary
 from fournls.spectrum import (DyadicBlock, FourierState, Trajectory, blocks_covering, c2c,
                               resize)
 
@@ -74,12 +73,21 @@ class TestMassHamiltonian:
         assert type(mass(u)) is float and type(hamiltonian(u, -1)) is float
         assert mass(u) == mass(u.coeffs) and hamiltonian(u, -1) == hamiltonian(u.coeffs, -1)
 
-    @pytest.mark.parametrize("f", [mass, hamiltonian], ids=["mass", "hamiltonian"])
-    def test_overflow_gives_a_nonfinite_float_without_warning(self, f):
+    @pytest.mark.parametrize("f, typ", [
+        (mass, float),
+        (hamiltonian, float),
+        (lambda u: symplectic_form(u, u.with_coeffs(1j * u.coeffs)), float),
+        (lambda u: normal_form_boundary(u, 0), complex),
+        (lambda u: ModifiedPhase(u).weight(0), float),
+        (lambda u: ModifiedPhase(u).mu_array(3), np.ndarray),
+    ], ids=["mass", "hamiltonian", "symplectic_form", "normal_form_boundary", "weight",
+            "mu_array"])
+    def test_overflow_gives_a_nonfinite_float_without_warning(self, f, typ):
+        """A float, or the complex or array the function returns, all non-finite."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = f(FourierState(3, np.full(7, 1e160 + 0j)))
-        assert type(got) is float and not math.isfinite(got)
+        assert type(got) is typ and not np.any(np.isfinite(got))
 
     @pytest.mark.parametrize("scheme", [Scheme.EXP_RK4, Scheme.STRANG])
     @pytest.mark.parametrize("kind", [FULL, WICK, EquationKind(Kind.FULL_4NLS, -1)],

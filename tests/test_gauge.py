@@ -10,7 +10,7 @@ from fournls.spectrum import mass
 class TestGaugeTransform:
     def test_identity_at_t0(self):
         u = random_state(4, seed=1)
-        assert gauge_apply(u, 0.0, 1.0).allclose(u)
+        assert np.array_equal(gauge_apply(u, 0.0, 1.0).coeffs, u.coeffs)
 
     def test_round_trip(self):
         u = random_state(4, seed=1)

@@ -72,6 +72,13 @@ class TestEnumeration:
         keys = [(q.n1, q.n2) for q in quads]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("n, n_max, name", [(1.5, 3, "n"), (True, 3, "n"),
+                                                (np.float64(0.0), 3, "n"), (0, 3.0, "n_max"),
+                                                (0, True, "n_max")])
+    def test_non_integer_arguments_rejected(self, n, n_max, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            enumerate_nonresonant(n, n_max)
+
     def test_fields_are_python_ints(self):
         # arbitrary-precision H: no numpy integer leaks into the quadruples
         for q in enumerate_nonresonant(1, 6):
@@ -184,6 +191,12 @@ class TestNormalFormBoundary:
     def test_frequency_beyond_n_max(self):
         with pytest.raises(ValueError, match="exceeds state n_max=2"):
             normal_form_boundary(FourierState.zeros(2), -3)
+
+    @pytest.mark.parametrize("n", [True, 1.0, 0.5])
+    def test_non_integer_frequency_rejected(self, n):
+        u = FourierState.from_modes(2, {0: 1.0, 1: 1.0, 2: 1.0})
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            normal_form_boundary(u, n)
 
     @pytest.mark.parametrize("n_max", [4, 12])
     def test_against_direct_sum(self, n_max):

@@ -15,6 +15,9 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from conftest import random_state
 from fournls import spectrum
+from fournls.dynamics import IntegratorSpec
+from fournls.experiments import ProfileKind, ProfileSpec
+from fournls.gauge import gauge_apply
 from fournls.spectrum import (
     DyadicBlock,
     FileFormatError,
@@ -50,6 +53,22 @@ coeff_strategy = st.integers(min_value=0, max_value=6).flatmap(
         max_size=2 * n + 1,
     ).map(lambda pairs: FourierState(n, np.array([complex(a, b) for a, b in pairs])))
 )
+
+BIG = 10**400  # a Python int that float() cannot represent
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: IntegratorSpec(dt=0.05).steps(BIG), "^T="),
+    (lambda: gauge_apply(random_state(2), 0.1, BIG), "^mass0 must"),
+    (lambda: ProfileSpec(ProfileKind.EXP_DECAY, amplitude=BIG), "^amplitude must"),
+    (lambda: IntegratorSpec(dt=BIG), "^dt must"),
+    (lambda: Trajectory(BIG, 1.0, np.zeros((1, 3))), "finite t0"),
+    (lambda: Trajectory(0.0, BIG, np.zeros((1, 3))), "finite nonzero dt"),
+], ids=["steps-T", "gauge-mass0", "profile-amplitude", "spec-dt", "trajectory-t0",
+        "trajectory-dt"])
+def test_an_int_too_large_for_a_float_is_not_a_real_number(call, field):
+    with pytest.raises(ValueError, match=field):
+        call()
 
 
 class TestFourierState:
@@ -92,7 +111,7 @@ class TestFourierState:
 
     def test_pad_truncate_round_trip(self):
         u = random_state(4, seed=1, norm=None)
-        assert u.truncate_to(9).truncate_to(4).allclose(u)
+        assert np.array_equal(u.truncate_to(9).truncate_to(4).coeffs, u.coeffs)
 
     def test_truncate_drops_high_modes(self):
         u = FourierState.from_modes(3, {3: 1.0, 1: 2.0})
@@ -126,13 +145,7 @@ class TestDyadicBlocks:
         assert b.contains(2) and b.contains(8) and b.contains(-5)
         assert not b.contains(1) and not b.contains(9) and not b.contains(0)
 
-    def test_mask_matches_contains(self):
-        b = DyadicBlock(8)
-        mask = b.mask(20)
-        for i, n in enumerate(range(-20, 21)):
-            assert mask[i] == b.contains(n)
-
-    @pytest.mark.parametrize("level", [1, 2, 4, 16])
+    @pytest.mark.parametrize("level", [1, 2, 4, 8, 16])
     def test_contains_on_an_array_equals_the_int_loop(self, level):
         b = DyadicBlock(level)
         ns = np.arange(-40, 41)
@@ -261,8 +274,8 @@ class TestTrajectory:
         rows = np.array([random_state(3, seed=k, norm=None).coeffs for k in range(5)])
         tr = Trajectory(0.0, 0.1, rows)
         rows[0] = 0.0  # the caller's writable array is copied, not aliased
-        assert tr[0].allclose(random_state(3, seed=0, norm=None))
-        assert tr[-1].allclose(random_state(3, seed=4, norm=None))
+        assert np.array_equal(tr[0].coeffs, random_state(3, seed=0, norm=None).coeffs)
+        assert np.array_equal(tr[-1].coeffs, random_state(3, seed=4, norm=None).coeffs)
         assert [s.n_max for s in tr.states] == [3] * 5
         with pytest.raises(ValueError):
             tr.coeffs[0, 0] = 1.0
