@@ -20,6 +20,7 @@ from .spectrum import (
     DyadicBlock,
     FourierState,
     Trajectory,
+    _int_arg,
     blocks_covering,
     c2c,
     grid_plan,
@@ -37,13 +38,13 @@ def hamiltonian(u, mu_sign: int = 1):
     and by the truncated flow (which is Hamiltonian on the projected space).
     """
     if isinstance(u, FourierState):
-        with np.errstate(over="ignore", invalid="ignore"):  # a float may be inf or nan
-            return float(hamiltonian(u.coeffs, mu_sign))
+        return float(hamiltonian(u.coeffs, mu_sign))
     n_max = (u.shape[-1] - 1) // 2
     m, idx = grid_plan(n_max)
-    quadratic = np.sum(np.arange(-n_max, n_max + 1.0) ** 4 * np.abs(u) ** 2, axis=-1)
-    quartic = np.sum(np.abs(to_grid(u, m, idx)) ** 4, axis=-1) / m
-    return quadratic - 0.5 * mu_sign * quartic
+    with np.errstate(over="ignore", invalid="ignore"):  # a value may be inf or nan
+        quadratic = np.sum(np.arange(-n_max, n_max + 1.0) ** 4 * np.abs(u) ** 2, axis=-1)
+        quartic = np.sum(np.abs(to_grid(u, m, idx)) ** 4, axis=-1) / m
+        return quadratic - 0.5 * mu_sign * quartic
 
 
 def symplectic_form(u: FourierState, v: FourierState) -> float:
@@ -62,8 +63,9 @@ def smoothing_gap(traj: Trajectory) -> np.ndarray:
 def _modulus_gap(traj: Trajectory) -> np.ndarray:
     """| |c_n(t)|^2 - |c_n(0)|^2 | per sample and mode, in one float array."""
     gap = np.abs(traj.coeffs)
-    gap **= 2
-    gap -= gap[0].copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap may be inf or nan
+        gap **= 2
+        gap -= gap[0].copy()
     return np.abs(gap, out=gap)
 
 
@@ -142,11 +144,12 @@ class SpaceTimeField:
         # (unitary scale 1/sqrt(k)), with at most two (samples, modes) arrays alive.
         # Fresh temporaries lead each complex product: numpy keeps this order at every size.
         tilde = np.zeros(traj.coeffs.shape, dtype=np.complex128)
-        np.outer(traj.times, phi, out=tilde.real)
-        np.multiply(-1j, tilde, out=tilde)
-        tilde = np.exp(tilde) * traj.coeffs
-        np.multiply(self.taper[:, None], tilde, out=tilde)
-        c2c(tilde, (0,), True, 1, tilde, 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a mode may be inf or nan
+            np.outer(traj.times, phi, out=tilde.real)
+            np.multiply(-1j, tilde, out=tilde)
+            tilde = np.exp(tilde) * traj.coeffs
+            np.multiply(self.taper[:, None], tilde, out=tilde)
+            c2c(tilde, (0,), True, 1, tilde, 1)
         tau = 2.0 * np.pi * np.fft.fftfreq(k, d=traj.dt)
         return tau, tilde
 
@@ -166,13 +169,14 @@ def ysb_norm(field: SpaceTimeField, s: float, b: float,
     ns = np.arange(-field.trajectory.n_max, field.trajectory.n_max + 1)
     wn = (1.0 + ns.astype(np.float64) ** 2) ** s
     mag = np.abs(tilde)
-    if z_part:
-        per_mode = np.sum(mag, axis=0)
-        return float(np.sqrt(np.sum(wn * per_mode**2)))
-    wt = (1.0 + tau**2) ** b
-    mag **= 2
-    np.multiply(wn[None, :] * wt[:, None], mag, out=mag)
-    return float(np.sqrt(np.sum(mag)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the norm may be inf or nan
+        if z_part:
+            per_mode = np.sum(mag, axis=0)
+            return float(np.sqrt(np.sum(wn * per_mode**2)))
+        wt = (1.0 + tau**2) ** b
+        mag **= 2
+        np.multiply(wn[None, :] * wt[:, None], mag, out=mag)
+        return float(np.sqrt(np.sum(mag)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +254,7 @@ def trilinear_ratio(seed: int, n1_level: int, n2_level: int, n3_level: int,
     with exponent -0.49 standing in for -1/2+. A monitoring statistic,
     never a proof; deterministic under the seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _int_arg("trials", trials, 1)
     exponent = -0.49
     blocks = tuple(DyadicBlock(lv) for lv in (n1_level, n2_level, n3_level, n4_level))
     n_max_level = float(max(n1_level, n2_level, n3_level, n4_level))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import (FourierState, Trajectory, _is_int, _is_real, as_rows, from_grid,
+from .spectrum import (FourierState, Trajectory, _int_arg, _is_int, _is_real, as_rows, from_grid,
                        grid_plan, mass, odd_padded_grid_size, resize, to_grid)
 
 
@@ -222,8 +222,7 @@ def _prepare(c0: np.ndarray, T: float, spec: IntegratorSpec,
              sample_stride: int) -> tuple[np.ndarray, int]:
     """integrate's argument checks: the datum rows (lifted under STRANG)
     and the step count k."""
-    if not _is_int(sample_stride) or sample_stride < 1:
-        raise ValueError(f"sample_stride must be an integer >= 1, got {sample_stride!r}")
+    _int_arg("sample_stride", sample_stride, 1)
     k = spec.steps(T)
     if k % sample_stride != 0:
         raise ValueError("sample_stride must divide the number of steps")

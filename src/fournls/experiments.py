@@ -17,16 +17,18 @@ import numpy as np
 
 from .dynamics import (EquationKind, IntegratorSpec, Kind, Scheme, integrate,
                        integrate_batch)
-from .spectrum import FourierState, _is_int, _is_real, resize
+from .spectrum import FourierState, _int_arg, _is_real, resize
 
 
 def derive_rng(root_seed: int, *key) -> np.random.Generator:
     """Counter-based splittable seeding: the task key (ints/strings) is
-    mapped to a spawn key, so tasks can run in any order."""
+    mapped to a spawn key, so tasks can run in any order. root_seed is an
+    integer >= 0, named seed in the ValueError otherwise."""
     spawn = tuple(
         k if isinstance(k, int) else zlib.crc32(str(k).encode()) for k in key
     )
-    return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=spawn))
+    seq = np.random.SeedSequence(_int_arg("seed", root_seed, 0), spawn_key=spawn)
+    return np.random.default_rng(seq)
 
 
 class ProfileKind(Enum):
@@ -55,10 +57,8 @@ class ProfileSpec:
             raise ValueError(f"kind must be a ProfileKind, got {self.kind!r}")
         if not _is_real(self.amplitude) or self.amplitude < 0:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not _is_int(self.mode):
-            raise ValueError(f"mode must be an integer, got {self.mode!r}")
+        object.__setattr__(self, "seed", _int_arg("seed", self.seed, 0))
+        object.__setattr__(self, "mode", _int_arg("mode", self.mode))
 
     def build(self, n_max: int) -> FourierState:
         if self.kind is ProfileKind.SINGLE_MODE:
@@ -145,7 +145,7 @@ def _low_mode_gap(a: np.ndarray, b: np.ndarray, cutoff: int) -> float:
 
 def _ladder(n_ladder) -> list:
     """A study's N ladder as ints: nonempty, positive, strictly increasing."""
-    ladder = [int(n) for n in n_ladder]
+    ladder = [_int_arg("N ladder entry", n) for n in n_ladder]
     if not ladder or ladder[0] < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("N ladder must be positive, strictly increasing and nonempty")
     return ladder
@@ -161,8 +161,7 @@ def run_approximation_study(profile: ProfileSpec, n_ladder, ref_factor: int,
     modes |n| <= floor(sqrt(N)). Fits error ~ C N^{-sigma}.
     """
     ladder = _ladder(n_ladder)
-    if ref_factor < 2:
-        raise ValueError("ref_factor must be >= 2")
+    ref_factor = _int_arg("ref_factor", ref_factor, 2)
     eq, spec, stride, echo = _ladder_flow(T, dt, mu_sign)
     base = profile.build(ladder[-1])
 
@@ -214,10 +213,10 @@ def run_perturbation_study(profile: ProfileSpec, n_primes,
     perturbed data at resolution 2N' as one batch and record the worst
     sampled divergence of the modes |n| <= N' - floor(sqrt(N'))."""
     ladder = _ladder(n_primes)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not perturbation_norm >= 0.0:
-        raise ValueError("perturbation_norm must be nonnegative")
+    trials, seed = _int_arg("trials", trials, 1), _int_arg("seed", seed, 0)
+    if not (_is_real(perturbation_norm) and perturbation_norm >= 0.0):
+        raise ValueError(f"perturbation_norm must be nonnegative and finite, "
+                         f"got {perturbation_norm!r}")
     eq, spec, stride, echo = _ladder_flow(T, dt, mu_sign)
 
     def one(n_prime: int):
@@ -261,15 +260,17 @@ def run_squeeze_probe(u_star: FourierState, R: float, r: float, n0: int,
     A positive best margin is an explicit witness for this (N, T); a
     negative one only means no witness was found among the samples.
     """
-    if not (0.0 < r < R):
-        raise ValueError("need 0 < r < R")
+    if not (_is_real(R) and 0.0 < r < R):
+        raise ValueError(f"need 0 < r < R with R finite, got r={r!r}, R={R!r}")
     if not (0.0 < epsilon < (R - r) / 2.0):
         raise ValueError("need 0 < epsilon < (R - r)/2")
+    N, n0 = _int_arg("N", N, 0), _int_arg("n0", n0)
     if abs(n0) > N:
         raise ValueError("|n0| must be <= N")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples, seed = _int_arg("samples", samples, 1), _int_arg("seed", seed, 0)
     z = complex(z)
+    if not (_is_real(z.real) and _is_real(z.imag)):
+        raise ValueError(f"z must be finite, got {z!r}")
     eq = EquationKind(kind, mu_sign)
     base = u_star.truncate_to(N)
     spec = IntegratorSpec(Scheme.EXP_RK4, dt)
@@ -278,29 +279,24 @@ def run_squeeze_probe(u_star: FourierState, R: float, r: float, n0: int,
 
     sweep = min(16, samples)
     interior = samples // 10 if samples > sweep else 0
-    n_random = samples - sweep - interior
-
-    candidates = []  # (label, direction, radius)
-    for k in range(sweep):
-        phi = 2.0 * np.pi * k / sweep
-        d = np.zeros(dim, dtype=np.complex128)
-        d[n0 + N] = np.exp(1j * phi)
-        candidates.append((f"sweep:{k}", d, rho))
-    for k in range(n_random):
-        rng = derive_rng(seed, "squeeze-dir", k)
+    # seeded draws (label, rng key, k): random directions, then interior points
+    draws = ([("random", "squeeze-dir", k) for k in range(samples - sweep - interior)]
+             + [("interior", "squeeze-int", k) for k in range(interior)])
+    labels = [f"sweep:{k}" for k in range(sweep)] + [f"{a}:{k}" for a, _, k in draws]
+    directions = np.zeros((samples, dim), dtype=np.complex128)
+    directions[:sweep, n0 + N] = np.exp(1j * (2.0 * np.pi * np.arange(sweep) / sweep))
+    radii = np.full(samples, rho)
+    for i, (label, key, k) in enumerate(draws, sweep):
+        rng = derive_rng(seed, key, k)
         d = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        d /= np.linalg.norm(d)
-        candidates.append((f"random:{k}", d, rho))
-    for k in range(interior):
-        rng = derive_rng(seed, "squeeze-int", k)
-        d = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        d /= np.linalg.norm(d)
-        candidates.append((f"interior:{k}", d, rho * rng.random()))
+        directions[i] = d / np.linalg.norm(d)
+        if label == "interior":
+            radii[i] *= rng.random()
 
-    data = np.stack([base.coeffs + radius * d for _, d, radius in candidates])
+    data = base.coeffs + radii[:, None] * directions
     final = integrate_batch(data, T, spec, eq, sample_stride=max(1, spec.steps(T)))[-1]
     table = [{"label": label, "radius": radius, "margin": float(abs(complex(c) - z) - r)}
-             for (label, _, radius), c in zip(candidates, final[:, n0 + N])]
+             for label, radius, c in zip(labels, radii.tolist(), final[:, n0 + N])]
     best = max(table, key=lambda row: row["margin"])
     params = {
         "R": R,

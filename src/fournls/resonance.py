@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import FourierState, _is_int, resize
+from .spectrum import FourierState, _int_arg, resize
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,7 @@ def enumerate_nonresonant(n: int, n_max: int) -> list[ResonanceQuadruple]:
     Non-resonant means (n1-n2)(n2-n3) != 0. Output is lexicographic in
     (n1, n2); n3 is then determined. Fields are Python integers.
     """
-    for name, v in (("n", n), ("n_max", n_max)):
-        if not _is_int(v):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-    n1, n2, n3 = (a.tolist() for a in _nonresonant(n, n_max))
+    n1, n2, n3 = (a.tolist() for a in _nonresonant(_int_arg("n", n), _int_arg("n_max", n_max)))
     return [ResonanceQuadruple(a, b, c) for a, b, c in zip(n1, n2, n3)]
 
 
@@ -147,9 +144,7 @@ def normal_form_boundary(u: FourierState, n: int) -> complex:
 
     sum over non-resonant triples of c(n1) conj(c(n2)) c(n3) conj(c(n)) / (iH).
     """
-    n_max = u.n_max
-    if not _is_int(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
+    n_max, n = u.n_max, _int_arg("n", n)
     if abs(n) > n_max:
         raise ValueError(f"|n|={abs(n)} exceeds state n_max={n_max}")
     c = u.coeffs

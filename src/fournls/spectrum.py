@@ -46,6 +46,15 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _int_arg(name: str, x, least: int | None = None) -> int:
+    """int(x) for an integer x by _is_int, >= least when least is given;
+    a ValueError naming the argument otherwise."""
+    if not _is_int(x) or (least is not None and x < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {x!r}")
+    return int(x)
+
+
 def _is_real(x) -> bool:
     """The real-number rule: an integer by _is_int or a float, finite as a float."""
     try:
@@ -84,10 +93,7 @@ class FourierState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        n = self.n_max
-        if not _is_int(n) or n < 0:
-            raise ValueError(f"n_max must be a nonnegative integer, got {n!r}")
-        object.__setattr__(self, "n_max", int(n))
+        object.__setattr__(self, "n_max", _int_arg("n_max", self.n_max, 0))
         c = np.array(self.coeffs, dtype=np.complex128)
         if c.shape != (2 * self.n_max + 1,):
             raise ValueError(
@@ -190,7 +196,7 @@ class DyadicBlock:
 def blocks_covering(n_max: int) -> list[DyadicBlock]:
     """Dyadic blocks whose union covers [-n_max, n_max]: levels 1, 2, ...,
     up to the largest N with N/2 <= n_max."""
-    return [DyadicBlock(2**j) for j in range(max(n_max, 0).bit_length() + 1)]
+    return [DyadicBlock(2**j) for j in range(max(_int_arg("n_max", n_max), 0).bit_length() + 1)]
 
 
 def to_grid(c, m: int, idx) -> np.ndarray:

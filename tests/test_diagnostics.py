@@ -89,6 +89,23 @@ class TestMassHamiltonian:
             got = f(FourierState(3, np.full(7, 1e160 + 0j)))
         assert type(got) is typ and not np.any(np.isfinite(got))
 
+    @pytest.mark.parametrize("f", [
+        lambda tr: hamiltonian(tr.coeffs),
+        smoothing_gap,
+        lambda tr: np.stack(list(dyadic_gap_profile(tr, 0.5).values())),
+        lambda tr: ysb_norm(SpaceTimeField(tr), 1.0, 0.5),
+        lambda tr: ysb_norm(SpaceTimeField(tr), 1.0, 0.5, z_part=True),
+        lambda tr: SpaceTimeField(tr).time_modes(ModifiedPhase(tr[0]))[1],
+    ], ids=["hamiltonian-rows", "smoothing_gap", "dyadic_gap_profile", "ysb_norm",
+            "ysb_norm-z_part", "time_modes-modified"])
+    def test_trajectory_overflow_gives_nonfinite_values_without_warning(self, f):
+        """The row and trajectory functions, on amplitudes whose squares overflow."""
+        traj = Trajectory(0.0, 0.1, np.full((10, 7), 1e160 + 0j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(traj)
+        assert not np.any(np.isfinite(got))
+
     @pytest.mark.parametrize("scheme", [Scheme.EXP_RK4, Scheme.STRANG])
     @pytest.mark.parametrize("kind", [FULL, WICK, EquationKind(Kind.FULL_4NLS, -1)],
                              ids=["full", "wick", "mu-1"])

@@ -135,10 +135,34 @@ class TestStudyInputs:
             STUDIES_TO_T[study](math.inf)
 
     def test_perturbation_needs_a_trial(self):
-        with pytest.raises(ValueError, match="trials must be >= 1"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             run_perturbation_study(PROFILE, [4], 0.05, 0.01, 1e-3, trials=0)
 
-    @pytest.mark.parametrize("norm", [-0.1, math.nan])
+    @pytest.mark.parametrize("call, message", [
+        (lambda: run_squeeze_probe(FourierState.zeros(4), math.inf, 0.5, 1, 0j, 0.01, 4, 1e-3),
+         "need 0 < r < R with R finite, got r=0.5, R=inf"),
+        (lambda: run_squeeze_probe(FourierState.zeros(4), 1.0, 0.5, 1, math.nan, 0.01, 4, 1e-3),
+         "z must be finite, got (nan+0j)"),
+    ], ids=["R", "z"])
+    def test_non_finite_probe_argument_is_rejected(self, call, message):
+        """Rejected up front, with no RuntimeWarning from the arithmetic."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_integer_counts_are_echoed_as_ints(self):
+        """The checked ints are what a report echoes, so to_json takes numpy integers."""
+        i = np.int64
+        reports = [
+            run_approximation_study(ProfileSpec(ProfileKind.EXP_DECAY, seed=i(2), mode=i(1)),
+                                    np.array([2, 3]), i(2), 0.002, 1e-3),
+            run_perturbation_study(PROFILE, [i(2)], 0.05, 0.002, 1e-3, trials=i(1), seed=i(3)),
+            run_squeeze_probe(FourierState.zeros(4), 1.0, 0.5, i(1), 0j, 0.002, i(4), 1e-3,
+                              samples=i(20), seed=i(3)),
+        ]
+        for rep in reports:
+            assert json.loads(rep.to_json())["params"] == rep.params
+
+    @pytest.mark.parametrize("norm", [-0.1, math.nan, math.inf])
     def test_perturbation_norm_must_be_nonnegative(self, norm):
         with pytest.raises(ValueError, match="perturbation_norm must be nonnegative"):
             run_perturbation_study(PROFILE, [4], norm, 0.01, 1e-3, trials=1)
@@ -231,7 +255,7 @@ class TestSqueeze:
             run_squeeze_probe(u, 1.0, 0.5, 1, 0j, 0.1, 4, 1e-2, epsilon=0.3)
         with pytest.raises(ValueError):
             run_squeeze_probe(u, 1.0, 0.5, 9, 0j, 0.1, 4, 1e-2)  # |n0| > N
-        with pytest.raises(ValueError, match="samples must be >= 1"):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
             run_squeeze_probe(u, 1.0, 0.5, 1, 0j, 0.1, 4, 1e-2, samples=0)
 
     def test_kind_must_be_a_member(self):

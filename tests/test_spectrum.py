@@ -15,9 +15,12 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from conftest import random_state
 from fournls import spectrum
-from fournls.dynamics import IntegratorSpec
-from fournls.experiments import ProfileKind, ProfileSpec
+from fournls.diagnostics import trilinear_ratio
+from fournls.dynamics import FULL, IntegratorSpec, integrate
+from fournls.experiments import (ProfileKind, ProfileSpec, run_approximation_study,
+                                 run_perturbation_study, run_squeeze_probe)
 from fournls.gauge import gauge_apply
+from fournls.resonance import enumerate_nonresonant, normal_form_boundary
 from fournls.spectrum import (
     DyadicBlock,
     FileFormatError,
@@ -71,6 +74,53 @@ def test_an_int_too_large_for_a_float_is_not_a_real_number(call, field):
         call()
 
 
+PROFILE = ProfileSpec(ProfileKind.EXP_DECAY)
+
+
+def squeeze(n0=1, N=4, samples=4, seed=0):
+    return run_squeeze_probe(FourierState.zeros(4), 1.0, 0.5, n0, 0j, 0.002, N, 1e-3,
+                             samples=samples, seed=seed)
+
+
+INT_ARGS = {  # case: (name in the error, least or None, call with the argument x)
+    "FourierState-n_max": ("n_max", 0, lambda x: FourierState(x, np.zeros(3))),
+    "ProfileSpec-seed": ("seed", 0, lambda x: ProfileSpec(ProfileKind.EXP_DECAY, seed=x)),
+    "ProfileSpec-mode": ("mode", None, lambda x: ProfileSpec(ProfileKind.SINGLE_MODE, mode=x)),
+    "integrate-sample_stride": ("sample_stride", 1, lambda x: integrate(
+        FourierState.zeros(2), 0.004, IntegratorSpec(dt=1e-3), FULL, x)),
+    "approx-ladder": ("N ladder entry", None,
+                      lambda x: run_approximation_study(PROFILE, [x, 4], 2, 0.002, 1e-3)),
+    "approx-ref_factor": ("ref_factor", 2,
+                          lambda x: run_approximation_study(PROFILE, [2], x, 0.002, 1e-3)),
+    "perturb-ladder": ("N ladder entry", None, lambda x: run_perturbation_study(
+        PROFILE, [x, 4], 0.05, 0.002, 1e-3, trials=1)),
+    "perturb-trials": ("trials", 1, lambda x: run_perturbation_study(
+        PROFILE, [2], 0.05, 0.002, 1e-3, trials=x)),
+    "perturb-seed": ("seed", 0, lambda x: run_perturbation_study(
+        PROFILE, [2], 0.05, 0.002, 1e-3, trials=1, seed=x)),
+    "squeeze-samples": ("samples", 1, lambda x: squeeze(samples=x)),
+    "squeeze-N": ("N", 0, lambda x: squeeze(n0=0, N=x)),
+    "squeeze-n0": ("n0", None, lambda x: squeeze(n0=x)),
+    "squeeze-seed": ("seed", 0, lambda x: squeeze(seed=x)),
+    "trilinear-trials": ("trials", 1, lambda x: trilinear_ratio(0, 1, 1, 1, 1, x)),
+    "trilinear-seed": ("seed", 0, lambda x: trilinear_ratio(x, 1, 1, 1, 1, 1)),
+    "enumerate-n": ("n", None, lambda x: enumerate_nonresonant(x, 2)),
+    "enumerate-n_max": ("n_max", None, lambda x: enumerate_nonresonant(0, x)),
+    "normal_form_boundary-n": ("n", None, lambda x: normal_form_boundary(random_state(2), x)),
+    "blocks_covering-n_max": ("n_max", None, blocks_covering),
+}
+
+
+@pytest.mark.parametrize("case, x", [(case, x) for case, (_, least, _) in INT_ARGS.items()
+                                     for x in (2.5, True, *(() if least is None else (least - 1,)))])
+def test_a_bad_integer_argument_raises_a_value_error_naming_it(case, x):
+    """Each integer argument goes through spectrum._int_arg: a float, a bool
+    and a value below the bound are rejected in one wording."""
+    name, _, call = INT_ARGS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(x)
+
+
 class TestFourierState:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -80,7 +130,7 @@ class TestFourierState:
 
     @pytest.mark.parametrize("n_max, width", [(2.5, 6), (2.0, 5), (True, 3), ("2", 5)])
     def test_n_max_must_be_an_integer(self, n_max, width):
-        with pytest.raises(ValueError, match="n_max must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="n_max must be an integer >= 0"):
             FourierState(n_max, np.zeros(width))
 
     def test_numpy_integer_n_max_stored_as_int(self):
