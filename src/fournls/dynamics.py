@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import (FourierState, Trajectory, _int_arg, _is_int, _is_real, as_rows, from_grid,
-                       grid_plan, mass, odd_padded_grid_size, resize, to_grid)
+from .spectrum import (FourierState, Trajectory, _int_arg, _is_int, _is_real, _row_mass, as_rows,
+                       from_grid, grid_plan, odd_padded_grid_size, resize, to_grid)
 
 
 class NumericFailure(RuntimeError):
@@ -121,7 +121,7 @@ def nonlinearity_resonant(u: FourierState) -> FourierState:
     """Resonant part: N_R(u)(n) = i |c_n|^2 c_n - 2i (sum_k |c_k|^2) c_n."""
     c = u.coeffs
     with np.errstate(invalid="ignore", over="ignore"):
-        return u.with_coeffs(1j * np.abs(c) ** 2 * c - 2j * mass(c) * c)
+        return u.with_coeffs(1j * np.abs(c) ** 2 * c - 2j * _row_mass(c) * c)
 
 
 def nonlinearity_nonresonant(u: FourierState) -> FourierState:
@@ -144,7 +144,7 @@ def _nonlinear_rhs_raw(c: np.ndarray, kind: EquationKind, m, idx) -> np.ndarray:
     if kind.kind is Kind.FULL_4NLS:
         return -1j * kind.mu * conv
     # wick: resonant self-phase kept, mass shift removed from the convolution
-    return kind.mu * (-1j * conv + 2j * mass(c)[..., None] * c)
+    return kind.mu * (-1j * conv + 2j * _row_mass(c)[..., None] * c)
 
 
 def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
@@ -170,7 +170,7 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
                 grid = to_grid(c, m, idx)
                 phase = -kind.mu * np.abs(grid) ** 2 * dt
                 if kind.kind is Kind.WICK_4WNLS:
-                    phase = phase + 2.0 * kind.mu * mass(c)[..., None] * dt
+                    phase = phase + 2.0 * kind.mu * _row_mass(c)[..., None] * dt
                 c = from_grid(np.exp(1j * phase) * grid, idx)
             return e_half * c
 
@@ -285,4 +285,4 @@ def exact_resonant_flow(u0: FourierState, t: float, mu: int = 1) -> FourierState
     """
     c = u0.coeffs
     with np.errstate(invalid="ignore", over="ignore"):
-        return u0.with_coeffs(np.exp(1j * mu * t * (np.abs(c) ** 2 - 2.0 * mass(c))) * c)
+        return u0.with_coeffs(np.exp(1j * mu * t * (np.abs(c) ** 2 - 2.0 * _row_mass(c))) * c)

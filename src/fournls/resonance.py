@@ -18,25 +18,38 @@ and the G functions add float64 weights |c0(n)|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .spectrum import FourierState, _int_arg, resize
 
 
-@dataclass(frozen=True)
-class ResonanceQuadruple:
-    n1: int
-    n2: int
-    n3: int
+class ResonanceQuadruple(tuple):
+    """A non-resonant triple (n1, n2, n3) of Python integers, as an immutable
+    tuple; n = n1 - n2 + n3 completes the quadruple."""
 
-    def __post_init__(self):
-        if self.n1 == self.n2 or self.n2 == self.n3:
+    __slots__ = ()
+    n1 = property(itemgetter(0))
+    n2 = property(itemgetter(1))
+    n3 = property(itemgetter(2))
+
+    def __new__(cls, n1: int, n2: int, n3: int):
+        n1, n2, n3 = _int_arg("n1", n1), _int_arg("n2", n2), _int_arg("n3", n3)
+        if n1 == n2 or n2 == n3:
             raise ValueError("trivially resonant triple (n1=n2 or n2=n3)")
+        return tuple.__new__(cls, (n1, n2, n3))
+
+    def __getnewargs__(self):  # copy and pickle call __new__(cls, n1, n2, n3)
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "ResonanceQuadruple(n1={!r}, n2={!r}, n3={!r})".format(*self)
 
     @property
     def h(self) -> int:
-        return h_value(self.n1, self.n2, self.n3)
+        return h_value(*self)
 
 
 def h_value(n1: int, n2: int, n3: int) -> int:
@@ -67,8 +80,15 @@ def enumerate_nonresonant(n: int, n_max: int) -> list[ResonanceQuadruple]:
     Non-resonant means (n1-n2)(n2-n3) != 0. Output is lexicographic in
     (n1, n2); n3 is then determined. Fields are Python integers.
     """
-    n1, n2, n3 = (a.tolist() for a in _nonresonant(_int_arg("n", n), _int_arg("n_max", n_max)))
-    return [ResonanceQuadruple(a, b, c) for a, b, c in zip(n1, n2, n3)]
+    n, n_max = _int_arg("n", n), _int_arg("n_max", n_max)
+    if abs(n) > 3 * n_max:  # |n1 - n2 + n3| <= 3 n_max: no triple, and no int64 arithmetic
+        return []
+    if (2 * n_max + 1) ** 2 > np.iinfo(np.intp).max:
+        raise ValueError(f"n_max too large for the (n1, n2) grid, got {n_max}")
+    # _nonresonant's mask is the definition of non-resonance, so the
+    # quadruples skip ResonanceQuadruple's check
+    triples = zip(*(a.tolist() for a in _nonresonant(n, n_max)))
+    return list(map(tuple.__new__, repeat(ResonanceQuadruple), triples))
 
 
 @dataclass(frozen=True)

@@ -232,13 +232,19 @@ def odd_padded_grid_size(n_max: int) -> int:
     return m
 
 
+def _row_mass(c):
+    """sum_n |c_n|^2 of each row of c; an overflow warns unless the caller
+    holds an np.errstate, as the stepping kernel does."""
+    return np.sum(np.abs(c) ** 2, axis=-1)
+
+
 def mass(u):
     """sum_n |c_n|^2 = (1/2pi) int |u|^2 dx of one FourierState (a float)
     or of each amplitude row of an array of shape (..., 2*n_max+1)."""
     if isinstance(u, FourierState):
-        with np.errstate(over="ignore"):  # a float may be inf
-            return float(mass(u.coeffs))
-    return np.sum(np.abs(u) ** 2, axis=-1)
+        return float(mass(u.coeffs))
+    with np.errstate(over="ignore"):  # a mass may be inf
+        return _row_mass(u)
 
 
 def _pairs(coeffs: np.ndarray) -> list:

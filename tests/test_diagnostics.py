@@ -90,13 +90,14 @@ class TestMassHamiltonian:
         assert type(got) is typ and not np.any(np.isfinite(got))
 
     @pytest.mark.parametrize("f", [
+        lambda tr: mass(tr.coeffs),
         lambda tr: hamiltonian(tr.coeffs),
         smoothing_gap,
         lambda tr: np.stack(list(dyadic_gap_profile(tr, 0.5).values())),
         lambda tr: ysb_norm(SpaceTimeField(tr), 1.0, 0.5),
         lambda tr: ysb_norm(SpaceTimeField(tr), 1.0, 0.5, z_part=True),
         lambda tr: SpaceTimeField(tr).time_modes(ModifiedPhase(tr[0]))[1],
-    ], ids=["hamiltonian-rows", "smoothing_gap", "dyadic_gap_profile", "ysb_norm",
+    ], ids=["mass-rows", "hamiltonian-rows", "smoothing_gap", "dyadic_gap_profile", "ysb_norm",
             "ysb_norm-z_part", "time_modes-modified"])
     def test_trajectory_overflow_gives_nonfinite_values_without_warning(self, f):
         """The row and trajectory functions, on amplitudes whose squares overflow."""

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from fournls.resonance import (
     ModifiedPhase,
     ResonanceQuadruple,
+    _nonresonant,
     enumerate_nonresonant,
     g_tilde_value,
     g_value,
@@ -84,6 +88,46 @@ class TestEnumeration:
         for q in enumerate_nonresonant(1, 6):
             for value in (q.n1, q.n2, q.n3, q.h):
                 assert type(value) is int
+
+    @pytest.mark.parametrize("x", ["a", None, 1.0, np.float64(1.0)])
+    def test_quadruple_fields_must_be_integers(self, x):
+        with pytest.raises(ValueError, match="^n1 must be an integer"):
+            ResonanceQuadruple(x, 0, -1)
+
+    def test_numpy_integer_fields_stored_as_int(self):
+        q = ResonanceQuadruple(np.int64(1), np.int32(0), -1)
+        assert all(type(v) is int for v in (q.n1, q.n2, q.n3, q.h)) and q.h == 2
+
+    def test_quadruples_are_checked_tuples(self):
+        """Every enumerated quadruple is the one the public constructor
+        builds, and the list is _nonresonant's arrays zipped."""
+        for n_max in (0, 1, 5):
+            for n in range(-3 * n_max - 1, 3 * n_max + 2):
+                quads = enumerate_nonresonant(n, n_max)
+                assert quads == list(zip(*(a.tolist() for a in _nonresonant(n, n_max))))
+                for q in quads:
+                    assert type(q) is ResonanceQuadruple
+                    assert q == ResonanceQuadruple(*q)
+                    assert repr(q) == f"ResonanceQuadruple(n1={q.n1}, n2={q.n2}, n3={q.n3})"
+                    with pytest.raises(AttributeError):
+                        q.n1 = 0
+                    assert hash(q) == hash((q.n1, q.n2, q.n3))
+
+    def test_copy_and_pickle_keep_the_quadruple(self):
+        q = ResonanceQuadruple(2, -1, 3)
+        for got in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert type(got) is ResonanceQuadruple and got == q and got.h == q.h
+
+    @pytest.mark.parametrize("n", [7, -7, 2**63, -(2**63) - 1, 10**400],
+                             ids=["7", "-7", "2**63", "-2**63-1", "10**400"])
+    def test_frequency_beyond_three_n_max_has_no_triple(self, n):
+        # |n1 - n2 + n3| <= 3 n_max, so no int64 arithmetic is needed
+        assert enumerate_nonresonant(n, 2) == []
+
+    @pytest.mark.parametrize("n_max", [2**31, 2**62, 10**400], ids=["2**31", "2**62", "10**400"])
+    def test_grid_beyond_intp_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            enumerate_nonresonant(0, n_max)
 
     def test_brute_force_equivalence(self):
         # oracle: plain triple scan over the box

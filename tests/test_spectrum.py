@@ -20,7 +20,7 @@ from fournls.dynamics import FULL, IntegratorSpec, integrate
 from fournls.experiments import (ProfileKind, ProfileSpec, run_approximation_study,
                                  run_perturbation_study, run_squeeze_probe)
 from fournls.gauge import gauge_apply
-from fournls.resonance import enumerate_nonresonant, normal_form_boundary
+from fournls.resonance import ResonanceQuadruple, enumerate_nonresonant, normal_form_boundary
 from fournls.spectrum import (
     DyadicBlock,
     FileFormatError,
@@ -107,6 +107,9 @@ INT_ARGS = {  # case: (name in the error, least or None, call with the argument 
     "enumerate-n": ("n", None, lambda x: enumerate_nonresonant(x, 2)),
     "enumerate-n_max": ("n_max", None, lambda x: enumerate_nonresonant(0, x)),
     "normal_form_boundary-n": ("n", None, lambda x: normal_form_boundary(random_state(2), x)),
+    "ResonanceQuadruple-n1": ("n1", None, lambda x: ResonanceQuadruple(x, 0, 1)),
+    "ResonanceQuadruple-n2": ("n2", None, lambda x: ResonanceQuadruple(1, x, -1)),
+    "ResonanceQuadruple-n3": ("n3", None, lambda x: ResonanceQuadruple(1, 0, x)),
     "blocks_covering-n_max": ("n_max", None, blocks_covering),
 }
 
