@@ -104,17 +104,29 @@ class ExperimentReport:
 
 
 def fit_decay_rate(table) -> tuple[float, float, float]:
-    """Least-squares power-law fit on (log x, log y); returns
-    (rate, intercept, residual) with rate = -slope."""
+    """Least-squares power-law fit on (log x, log y): the closed-form line
+    from centred sums. Returns (rate, intercept, residual) with
+    rate = -slope and residual the RMS misfit in log y. The (x, y) rows
+    need at least 3 of them, every x and y a finite real by _is_real and
+    > 0, and two distinct log x; a ValueError names the problem otherwise."""
     rows = list(table)
     if len(rows) < 3:
         raise ValueError("need at least 3 rows to fit a decay rate")
-    xs = np.array([float(x) for x, _ in rows])
-    ys = np.array([float(y) for _, y in rows])
-    if np.any(ys <= 0.0) or np.any(xs <= 0.0):
-        raise ValueError("fit_decay_rate requires positive x and y")
-    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
-    resid = np.log(ys) - (slope * np.log(xs) + intercept)
+    for x, y in rows:
+        if not (_is_real(x) and x > 0 and _is_real(y) and y > 0):
+            raise ValueError(f"fit_decay_rate requires positive x and y, each a finite "
+                             f"real number; got the row ({x!r}, {y!r})")
+    lx = np.log([float(x) for x, _ in rows])
+    ly = np.log([float(y) for _, y in rows])
+    mx, my = np.mean(lx), np.mean(ly)
+    dx = lx - mx
+    sxx = np.sum(dx * dx)
+    if sxx == 0.0:
+        raise ValueError(f"fit_decay_rate requires two distinct x, got "
+                         f"{[x for x, _ in rows]!r}")
+    slope = np.sum(dx * (ly - my)) / sxx
+    intercept = my - slope * mx
+    resid = ly - (slope * lx + intercept)
     return float(-slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
 
 

@@ -18,7 +18,7 @@ and the G functions add float64 weights |c0(n)|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -179,9 +179,9 @@ def normal_form_boundary(u: FourierState, n: int) -> complex:
 
 
 def resonance_table_rows(n_max: int):
-    """Yield (n1, n2, n3, n, H, factored_H) over the full box |ni| <= n_max."""
-    for n1 in range(-n_max, n_max + 1):
-        for n2 in range(-n_max, n_max + 1):
-            for n3 in range(-n_max, n_max + 1):
-                n = n1 - n2 + n3
-                yield n1, n2, n3, n, h_value(n1, n2, n3), h_factored(n1, n2, n3)
+    """(n1, n2, n3, n, H, factored_H) over the full box |ni| <= n_max, as a
+    generator; n_max is an integer >= 0, checked when this is called."""
+    n_max = _int_arg("n_max", n_max, 0)
+    box = range(-n_max, n_max + 1)
+    return ((n1, n2, n3, n1 - n2 + n3, h_value(n1, n2, n3), h_factored(n1, n2, n3))
+            for n1, n2, n3 in product(box, repeat=3))

@@ -89,6 +89,51 @@ class TestFitDecayRate:
         with pytest.raises(ValueError):
             fit_decay_rate([(1, 1.0), (2, 0.5), (3, 0.0)])
 
+    def test_fit_and_approximation_study_call_no_least_squares_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the decay-rate fit must not call a LAPACK solver")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        assert fit_decay_rate([(2, 1.0), (4, 0.3), (8, 0.1)])[0] > 0
+        report = run_approximation_study(PROFILE, [2, 3, 4], 2, 0.01, 1e-3)
+        assert report.fitted is not None
+
+    def test_matches_polyfit_on_random_tables(self):
+        """np.polyfit is the oracle. The intercept mean(log y) - slope * mean(log x)
+        cancels, so its tolerance scales with the terms it cancels."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 9))
+            xs = np.sort(rng.choice(np.arange(1, 1025), size=n, replace=False))
+            ys = (np.exp(rng.uniform(-5, 15)) * xs ** -rng.uniform(0.5, 6)
+                  * np.exp(rng.normal(0, 0.3, n)))
+            rate, intercept, _ = fit_decay_rate(zip(xs.tolist(), ys.tolist()))
+            slope, oracle = np.polyfit(np.log(xs), np.log(ys), 1)
+            assert abs(rate + slope) <= 1e-12 * abs(slope)
+            scale = abs(oracle) + abs(slope * np.mean(np.log(xs)))
+            assert abs(intercept - oracle) <= 1e-12 * scale
+
+    def test_two_equal_x_out_of_three_still_fit(self, capfd):
+        rate, intercept, resid = fit_decay_rate([(2, 1.0), (2, 0.5), (4, 0.125)])
+        slope, oracle = np.polyfit(np.log([2, 2, 4]), np.log([1.0, 0.5, 0.125]), 1)
+        assert np.isclose(rate, -slope, rtol=1e-12) and np.isclose(intercept, oracle, rtol=1e-12)
+        assert resid > 0 and capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("table, problem", [
+        ([(4, 1.0), (4, 0.5), (4, 0.25)], "two distinct x"),
+        ([(1, 1.0), (2, math.nan), (4, 0.25)], "positive x and y"),
+        ([(1, 1.0), (math.inf, 0.5), (4, 0.25)], "positive x and y"),
+        ([(1, 1.0), (10**400, 0.5), (4, 0.25)], "positive x and y"),
+        ([(1, 1.0), ("2", 0.5), (4, 0.25)], "positive x and y"),
+    ], ids=["equal-x", "nan-y", "inf-x", "huge-int-x", "string-x"])
+    def test_table_without_a_fit_raises_naming_the_problem(self, table, problem, capfd):
+        """A ValueError and nothing else: Tier-1 turns any warning into an
+        error, and capfd sees anything written to the stderr descriptor."""
+        with pytest.raises(ValueError, match=f"^fit_decay_rate requires {problem}"):
+            fit_decay_rate(table)
+        assert capfd.readouterr().err == ""
+
 
 class TestReports:
     def test_json_round_trip(self):

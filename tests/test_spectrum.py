@@ -20,7 +20,8 @@ from fournls.dynamics import FULL, IntegratorSpec, integrate
 from fournls.experiments import (ProfileKind, ProfileSpec, run_approximation_study,
                                  run_perturbation_study, run_squeeze_probe)
 from fournls.gauge import gauge_apply
-from fournls.resonance import ResonanceQuadruple, enumerate_nonresonant, normal_form_boundary
+from fournls.resonance import (ResonanceQuadruple, enumerate_nonresonant, normal_form_boundary,
+                               resonance_table_rows)
 from fournls.spectrum import (
     DyadicBlock,
     FileFormatError,
@@ -111,6 +112,7 @@ INT_ARGS = {  # case: (name in the error, least or None, call with the argument 
     "ResonanceQuadruple-n2": ("n2", None, lambda x: ResonanceQuadruple(1, x, -1)),
     "ResonanceQuadruple-n3": ("n3", None, lambda x: ResonanceQuadruple(1, 0, x)),
     "blocks_covering-n_max": ("n_max", None, blocks_covering),
+    "resonance_table_rows-n_max": ("n_max", 0, resonance_table_rows),
 }
 
 
