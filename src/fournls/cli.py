@@ -27,7 +27,6 @@ from .dynamics import (
     integrate,
 )
 from .experiments import ProfileKind, ProfileSpec
-from .resonance import ModifiedPhase
 from .spectrum import load_state, load_trajectory, save_trajectory
 
 
@@ -215,11 +214,9 @@ def _cmd_norms(cfg: RunConfig) -> str:
     traj = load_trajectory(v["traj"])
     gaps = diagnostics.smoothing_gap(traj)
     blocks = diagnostics.dyadic_gap_profile(traj, v["s"])
-    field_ = diagnostics.SpaceTimeField(traj, v["window"])
-    phase = ModifiedPhase(traj[0]) if v["phase"] == "modified" else None
-    modes = field_.time_modes(phase)  # one time DFT serves both norms
-    value = diagnostics.ysb_norm(field_, v["s"], v["b"], phase, modes=modes)
-    z_value = diagnostics.ysb_norm(field_, v["s"], v["b"], phase, z_part=True, modes=modes)
+    field_ = diagnostics.SpaceTimeField(traj, v["window"], v["phase"])  # the one time DFT
+    value = diagnostics.ysb_norm(field_, v["s"], v["b"])
+    z_value = diagnostics.ysb_norm(field_, v["s"], v["b"], z_part=True)
     base = _out(cfg)
     doc = {
         "ysb_norm": value,
@@ -233,11 +230,11 @@ def _cmd_norms(cfg: RunConfig) -> str:
     with open(base + ".json", "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    times = traj.times
-    _write_csv(base + "_gap.csv", ["t", "gap"], zip(times, gaps))
+    times = list(map(repr, traj.times.tolist()))  # each sample time formatted once
+    _write_csv(base + "_gap.csv", ["t", "gap"], zip(times, gaps.tolist()))
     _write_csv(base + "_blocks.csv", ["block", "t", "value"],
                ((level, t, val) for level, series in sorted(blocks.items())
-                for t, val in zip(times, series)))
+                for t, val in zip(times, series.tolist())))
     return f"norms: ysb={value:.6e} max_gap={np.max(gaps):.3e} -> {base}.json"
 
 
@@ -301,8 +298,8 @@ _SUBCOMMANDS = {
         "traj": (str, None, None),
         "s": (float, 0.0, None),
         "b": (float, 0.5, None),
-        "window": (str, "cosine", frozenset({"cosine", "rect"})),
-        "phase": (str, "plain", frozenset({"plain", "modified"})),
+        "window": (str, "cosine", diagnostics.WINDOWS),
+        "phase": (str, "plain", diagnostics.PHASES),
         "out": (str, "norms", None),
         "seed": _FLOW_KEYS["seed"],  # read by no handler; perfbench passes --seed
     }),

@@ -95,12 +95,14 @@ def modulus_rate(u: FourierState, mu_sign: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+WINDOWS = frozenset({"cosine", "rect"})
+PHASES = frozenset({"plain", "modified"})
+
+
 def _taper(num_samples: int, window: str) -> np.ndarray:
-    if window == "rect":
-        return np.ones(num_samples)
-    if window != "cosine":
-        raise ValueError(f"unknown window {window!r}")
     w = np.ones(num_samples)
+    if window == "rect":
+        return w
     ramp = max(1, int(0.1 * num_samples))
     edge = 0.5 * (1.0 - np.cos(np.pi * (np.arange(ramp) + 0.5) / ramp))
     w[:ramp] = edge
@@ -108,72 +110,61 @@ def _taper(num_samples: int, window: str) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTimeField:
-    """Sampled trajectory with a declared time taper, ready for time-DFT.
-
-    The tau grid has exactly one bin per sample; norm values must always be
-    reported alongside the window that produced them.
+    """A sampled trajectory, its declared time taper and phase, and their
+    windowed unitary time-DFT in the interaction picture: e^{i t phi(n)}, with
+    phi = n^4 ("plain") or mu(n) = n^4 + |c0(n)|^2 of the first sample
+    ("modified"), is divided out first, so tau (angular frequencies, one bin
+    per sample) plays the role of the modulation tau - phi(n); tilde is
+    indexed (tau_bin, n). Report norms alongside the window and phase.
     """
 
     trajectory: Trajectory
     window: str = "cosine"
-    taper: np.ndarray = field(init=False)
+    phase: str = "plain"
+    taper: np.ndarray = field(init=False, repr=False)
+    tau: np.ndarray = field(init=False, repr=False)
+    tilde: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.trajectory) < 8:
-            raise ValueError("space-time estimators need at least 8 samples")
-        object.__setattr__(self, "taper", _taper(len(self.trajectory), self.window))
-
-    def time_modes(self, phase: ModifiedPhase | None = None) -> tuple:
-        """Windowed unitary time-DFT in the interaction picture.
-
-        Returns (tau, tilde) with tau the angular DFT frequencies (one per
-        sample) and tilde indexed (tau_bin, n). The phase e^{i t phi(n)} with
-        phi = mu(n) (ModifiedPhase) or n^4 (None) is divided out first, so
-        tau directly plays the role of the modulation tau - phi(n).
-        """
         traj = self.trajectory
-        k = len(traj)
-        ns = np.arange(-traj.n_max, traj.n_max + 1)
-        if phase is None:
-            phi = ns.astype(np.float64) ** 4
-        else:
-            phi = phase.mu_array(traj.n_max)
+        if len(traj) < 8:
+            raise ValueError("space-time estimators need at least 8 samples")
+        if self.window not in WINDOWS:
+            raise ValueError(f"unknown window {self.window!r}")
+        if self.phase not in PHASES:
+            raise ValueError(f"unknown phase {self.phase!r}")
+        taper = _taper(len(traj), self.window)
+        phi = (ModifiedPhase(traj[0]).mu_array(traj.n_max) if self.phase == "modified"
+               else np.arange(-traj.n_max, traj.n_max + 1.0) ** 4)
         # exp(-1j * outer(times, phi)) * coeffs, tapered and transformed
-        # (unitary scale 1/sqrt(k)), with at most two (samples, modes) arrays alive.
+        # (unitary scale 1/sqrt(samples)), with at most two (samples, modes) arrays alive.
         # Fresh temporaries lead each complex product: numpy keeps this order at every size.
         tilde = np.zeros(traj.coeffs.shape, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):  # a mode may be inf or nan
             np.outer(traj.times, phi, out=tilde.real)
             np.multiply(-1j, tilde, out=tilde)
             tilde = np.exp(tilde) * traj.coeffs
-            np.multiply(self.taper[:, None], tilde, out=tilde)
+            np.multiply(taper[:, None], tilde, out=tilde)
             c2c(tilde, (0,), True, 1, tilde, 1)
-        tau = 2.0 * np.pi * np.fft.fftfreq(k, d=traj.dt)
-        return tau, tilde
+        tau = 2.0 * np.pi * np.fft.fftfreq(len(traj), d=traj.dt)
+        for name, value in (("taper", taper), ("tau", tau), ("tilde", tilde)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
-def ysb_norm(field: SpaceTimeField, s: float, b: float,
-             phase: ModifiedPhase | None = None, z_part: bool = False,
-             modes: tuple | None = None) -> float:
-    """Discrete estimator of the X^{s,b} / Y^{s,b} space-time norm.
-
-    phase=None weights modulations against the plain dispersion n^4
-    (X^{s,b}); a ModifiedPhase uses mu(n) = n^4 + |c0(n)|^2 (Y^{s,b}).
-    With z_part=True the l2_n L1_tau companion of Z^{s,1/2} is returned
-    instead (b is then ignored). modes, when given, is the caller's
-    field.time_modes(phase), so several norms share one time DFT.
-    """
-    tau, tilde = field.time_modes(phase) if modes is None else modes
-    ns = np.arange(-field.trajectory.n_max, field.trajectory.n_max + 1)
-    wn = (1.0 + ns.astype(np.float64) ** 2) ** s
-    mag = np.abs(tilde)
+def ysb_norm(field: SpaceTimeField, s: float, b: float, z_part: bool = False) -> float:
+    """Discrete X^{s,b} (plain field) or Y^{s,b} (modified field) space-time
+    norm of field.tilde. With z_part=True the l2_n L1_tau companion of
+    Z^{s,1/2} is returned instead (b is then ignored)."""
+    wn = (1.0 + np.arange(-field.trajectory.n_max, field.trajectory.n_max + 1.0) ** 2) ** s
+    mag = np.abs(field.tilde)
     with np.errstate(over="ignore", invalid="ignore"):  # the norm may be inf or nan
         if z_part:
             per_mode = np.sum(mag, axis=0)
             return float(np.sqrt(np.sum(wn * per_mode**2)))
-        wt = (1.0 + tau**2) ** b
+        wt = (1.0 + field.tau**2) ** b
         mag **= 2
         np.multiply(wn[None, :] * wt[:, None], mag, out=mag)
         return float(np.sqrt(np.sum(mag)))

@@ -24,7 +24,7 @@ def gauge_apply(u, t, mass0: float, mu_sign: int = 1):
     return np.exp(2j * mu_sign * np.asarray(t)[..., None] * mass0) * u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugeEquivalenceReport:
     """Per-sample l2 gap |G[u] - v| and its phase-aligned remainder.
 

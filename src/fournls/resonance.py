@@ -91,7 +91,7 @@ def enumerate_nonresonant(n: int, n_max: int) -> list[ResonanceQuadruple]:
     return list(map(tuple.__new__, repeat(ResonanceQuadruple), triples))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModifiedPhase:
     """Per-mode phase mu(n) = n^4 + |c0(n)|^2 for a reference datum."""
 

@@ -85,7 +85,7 @@ def resize(c, n_max: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierState:
     """Complex mode amplitudes c_n for n = -n_max .. n_max (contiguous)."""
 
@@ -132,7 +132,7 @@ class FourierState:
         return FourierState(n_max, resize(self.coeffs, n_max))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniformly sampled run: row k of ``coeffs`` holds c_n, |n| <= n_max,
     at time t0 + k*dt. Validated once and stored read-only; a read-only

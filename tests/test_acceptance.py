@@ -251,13 +251,13 @@ def test_criterion_11_norm_estimator():
     times = dt * np.arange(K)
     states = tuple(u_ref.with_coeffs(u_ref.coeffs * np.exp(1j * t * mu0))
                    for t in times)
-    lin = SpaceTimeField(Trajectory(0.0, dt, [s.coeffs for s in states]), "rect")
-    tau, tilde = lin.time_modes(phase)
-    col = np.abs(tilde[:, n0 + 2])
+    # the modified field's mu is that of its first sample, u_ref
+    lin = SpaceTimeField(Trajectory(0.0, dt, [s.coeffs for s in states]), "rect", "modified")
+    col = np.abs(lin.tilde[:, n0 + 2])
     # energy concentrates in the tau bin nearest mu(n0) (DC after reduction)
     assert np.argmax(col) == 0
     assert col[0] ** 2 >= 0.9 * np.sum(col**2)
-    got = ysb_norm(lin, s, 0.5, phase)
+    got = ysb_norm(lin, s, 0.5)
     # the unitary time-DFT puts sum(taper)/sqrt(K) of the amplitude in the
     # concentrated bin (= sqrt(K) exactly for the rectangular window)
     window_factor = np.sum(lin.taper) / np.sqrt(K)

@@ -343,14 +343,30 @@ class TestNorms:
     @pytest.mark.parametrize("phase", ["plain", "modified"])
     def test_one_time_transform_per_run(self, tmp_path, monkeypatch, phase):
         calls = []
-        time_modes = diagnostics.SpaceTimeField.time_modes
-        monkeypatch.setattr(diagnostics.SpaceTimeField, "time_modes",
-                            lambda field, ph=None: calls.append(ph) or time_modes(field, ph))
+        c2c = diagnostics.c2c
+        monkeypatch.setattr(diagnostics, "c2c",
+                            lambda x, axes, *rest: calls.append(axes) or c2c(x, axes, *rest))
         assert run(["simulate", "--n-max", 4, "--dt", "1e-3", "--T", "0.02",
                     "--out-dir", tmp_path, "--out", "t.jsonl"]) == 0
         assert run(["norms", "--traj", tmp_path / "t.jsonl", "--phase", phase,
                     "--out-dir", tmp_path]) == 0
-        assert len(calls) == 1 and (calls[0] is None) == (phase == "plain")
+        assert calls.count((0,)) == 1
+        # and that transform is the one of the requested phase
+        doc = json.loads((tmp_path / "norms.json").read_text())
+        field = diagnostics.SpaceTimeField(load_trajectory(tmp_path / "t.jsonl"), "cosine", phase)
+        assert doc["ysb_norm"] == diagnostics.ysb_norm(field, 0.0, 0.5)
+
+    @pytest.mark.parametrize("phase", ["plain", "modified"])
+    def test_deterministic_outputs_are_byte_identical(self, tmp_path, phase):
+        assert run(["simulate", "--n-max", 6, "--dt", "1e-3", "--T", "0.05",
+                    "--out-dir", tmp_path, "--out", "t.jsonl"]) == 0
+        outputs = []
+        for _ in range(2):  # the same command line, so config_echo matches too
+            assert run(["norms", "--traj", tmp_path / "t.jsonl", "--phase", phase,
+                        "--s", "0.5", "--deterministic", "--out-dir", tmp_path]) == 0
+            outputs.append([(tmp_path / ("norms" + suffix)).read_bytes()
+                            for suffix in (".json", "_gap.csv", "_blocks.csv")])
+        assert outputs[0] == outputs[1] and all(outputs[0])
 
     def test_modified_phase_option(self, tmp_path):
         assert run(["simulate", "--n-max", 4, "--dt", "1e-3", "--T", "0.02",

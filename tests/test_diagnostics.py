@@ -96,9 +96,9 @@ class TestMassHamiltonian:
         lambda tr: np.stack(list(dyadic_gap_profile(tr, 0.5).values())),
         lambda tr: ysb_norm(SpaceTimeField(tr), 1.0, 0.5),
         lambda tr: ysb_norm(SpaceTimeField(tr), 1.0, 0.5, z_part=True),
-        lambda tr: SpaceTimeField(tr).time_modes(ModifiedPhase(tr[0]))[1],
+        lambda tr: SpaceTimeField(tr, phase="modified").tilde,
     ], ids=["mass-rows", "hamiltonian-rows", "smoothing_gap", "dyadic_gap_profile", "ysb_norm",
-            "ysb_norm-z_part", "time_modes-modified"])
+            "ysb_norm-z_part", "tilde-modified"])
     def test_trajectory_overflow_gives_nonfinite_values_without_warning(self, f):
         """The row and trajectory functions, on amplitudes whose squares overflow."""
         traj = Trajectory(0.0, 0.1, np.full((10, 7), 1e160 + 0j))
@@ -233,6 +233,10 @@ class TestYsbNorm:
         with pytest.raises(ValueError, match="unknown window 'hann'"):
             SpaceTimeField(self._traj(), "hann")
 
+    def test_unknown_phase(self):
+        with pytest.raises(ValueError, match="unknown phase 'mu'"):
+            SpaceTimeField(self._traj(), "rect", "mu")
+
     def test_b0_is_tapered_parseval(self):
         tr = self._traj()
         field = SpaceTimeField(tr, "cosine")
@@ -257,13 +261,12 @@ class TestYsbNorm:
             u0.with_coeffs(u0.coeffs * np.exp(1j * t * n0**4)) for t in times
         )
         field = SpaceTimeField(Trajectory(0.0, dt, [s.coeffs for s in states]), "rect")
-        tau, tilde = field.time_modes(None)
-        col = np.abs(tilde[:, n0 + 3])
+        col = np.abs(field.tilde[:, n0 + 3])
         assert col[0] > 0.999 * np.linalg.norm(col)
 
     def test_modified_phase_shifts_concentration(self):
         # modified-linear solution c e^{it mu(n0)} is DC only under the
-        # matching ModifiedPhase reduction
+        # matching modified-phase reduction, whose mu is that of the first sample
         n0, amp, K, dt = 1, 1.3, 64, 5e-2
         u0 = FourierState.from_modes(2, {n0: amp})
         phase = ModifiedPhase(u0)
@@ -272,13 +275,11 @@ class TestYsbNorm:
         states = tuple(
             u0.with_coeffs(u0.coeffs * np.exp(1j * t * mu)) for t in times
         )
-        field = SpaceTimeField(Trajectory(0.0, dt, [s.coeffs for s in states]), "rect")
-        tau, tilde = field.time_modes(phase)
-        col = np.abs(tilde[:, n0 + 2])
+        tr = Trajectory(0.0, dt, [s.coeffs for s in states])
+        col = np.abs(SpaceTimeField(tr, "rect", "modified").tilde[:, n0 + 2])
         assert col[0] > 0.999 * np.linalg.norm(col)
         # with the plain n^4 phase the energy moves off the DC bin
-        _, tilde_plain = field.time_modes(None)
-        col_plain = np.abs(tilde_plain[:, n0 + 2])
+        col_plain = np.abs(SpaceTimeField(tr, "rect", "plain").tilde[:, n0 + 2])
         assert col_plain[0] < 0.9 * np.linalg.norm(col_plain)
 
     def test_z_part_single_bin(self):
@@ -291,43 +292,39 @@ class TestYsbNorm:
     @pytest.mark.parametrize("samples, n_max", [(8, 1), (9, 1), (2001, 32)])
     @pytest.mark.parametrize("modified", [False, True], ids=["plain", "modified"])
     def test_bit_equal_to_the_one_line_expressions(self, samples, n_max, modified):
-        # time_modes and ysb_norm work in place; their values are those of
-        # the plain expressions below.
+        # the field's time DFT and ysb_norm work in place; their values are
+        # those of the plain expressions below.
         rng = np.random.default_rng(samples)
         shape = (samples, 2 * n_max + 1)
         c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         tr = Trajectory(0.1, 1e-4, c)
-        field = SpaceTimeField(tr, "cosine")
-        phase = ModifiedPhase(tr[0]) if modified else None
+        field = SpaceTimeField(tr, "cosine", "modified" if modified else "plain")
         ns = np.arange(-n_max, n_max + 1)
-        phi = phase.mu_array(n_max) if modified else ns.astype(np.float64) ** 4
+        phi = ModifiedPhase(tr[0]).mu_array(n_max) if modified else ns.astype(np.float64) ** 4
         reduced = np.exp(-1j * np.outer(tr.times, phi)) * tr.coeffs
         tilde = c2c(field.taper[:, None] * reduced, (0,), True, 1, None, 1)  # unitary
         tau = 2.0 * np.pi * np.fft.fftfreq(samples, d=tr.dt)
-        modes = field.time_modes(phase)
-        assert modes[0].tobytes() == tau.tobytes() and modes[1].tobytes() == tilde.tobytes()
+        assert field.tau.tobytes() == tau.tobytes() and field.tilde.tobytes() == tilde.tobytes()
         wn = (1.0 + ns.astype(np.float64) ** 2) ** 0.5
         for b in (0.0, 0.49, 1.0):
             wt = (1.0 + tau**2) ** b
             want = float(np.sqrt(np.sum(wn[None, :] * wt[:, None] * np.abs(tilde) ** 2)))
-            assert ysb_norm(field, 0.5, b, phase) == want
-            assert ysb_norm(field, 0.5, b, phase, modes=modes) == want
+            assert ysb_norm(field, 0.5, b) == want
         want = float(np.sqrt(np.sum(wn * np.sum(np.abs(tilde), axis=0) ** 2)))
-        assert ysb_norm(field, 0.5, 0.0, phase, z_part=True) == want
-        assert ysb_norm(field, 0.5, 0.0, phase, z_part=True, modes=modes) == want
+        assert ysb_norm(field, 0.5, 0.0, z_part=True) == want
 
-    @pytest.mark.parametrize("modified", [False, True], ids=["plain", "modified"])
-    def test_time_modes_of_a_mode_crop_are_the_crop_of_time_modes(self, modified):
+    @pytest.mark.parametrize("phase", ["plain", "modified"])
+    def test_modes_of_a_mode_crop_are_the_crop_of_the_modes(self, phase):
         # 2001 x 65 amplitudes hold 2.1 MB and 2001 x 5 hold 160 KB, on
-        # either side of numpy's 256 KiB temporary-elision threshold.
+        # either side of numpy's 256 KiB temporary-elision threshold. The
+        # crop's first sample is the crop of the full first sample, so both
+        # modified fields divide out the same mu(n), |n| <= 2.
         rng = np.random.default_rng(7)
         c = rng.normal(size=(2001, 65)) + 1j * rng.normal(size=(2001, 65))
         full, crop = Trajectory(0.1, 1e-4, c), Trajectory(0.1, 1e-4, resize(c, 2))
-        phase = ModifiedPhase(full[0]) if modified else None
-        tau, tilde = SpaceTimeField(full).time_modes(phase)
-        tau_crop, tilde_crop = SpaceTimeField(crop).time_modes(phase)
-        assert tau_crop.tobytes() == tau.tobytes()
-        assert tilde_crop.tobytes() == resize(tilde, 2).tobytes()
+        field, field_crop = SpaceTimeField(full, phase=phase), SpaceTimeField(crop, phase=phase)
+        assert field_crop.tau.tobytes() == field.tau.tobytes()
+        assert field_crop.tilde.tobytes() == resize(field.tilde, 2).tobytes()
 
     def test_weights_increase_with_b(self):
         tr = self._traj()

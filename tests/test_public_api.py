@@ -1,4 +1,9 @@
+import numpy as np
+import pytest
+
 import fournls
+from fournls import FourierState, ModifiedPhase, SpaceTimeField, Trajectory
+from fournls.gauge import GaugeEquivalenceReport
 
 PUBLIC = {
     # spectrum
@@ -29,3 +34,20 @@ def test_export_list_is_pinned():
     and that re-spells another function does not. Adding or removing an
     export means editing this list on purpose."""
     assert set(fournls.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FourierState(1, [1, 2, 3]),
+    lambda: Trajectory(0.0, 0.1, np.ones((8, 3), dtype=np.complex128)),
+    lambda: ModifiedPhase(FourierState(1, [1, 2, 3])),
+    lambda: GaugeEquivalenceReport(0.0, np.zeros(3), np.zeros(3), np.zeros(3)),
+    lambda: SpaceTimeField(Trajectory(0.0, 0.1, np.ones((8, 3), dtype=np.complex128))),
+], ids=["FourierState", "Trajectory", "ModifiedPhase", "GaugeEquivalenceReport",
+        "SpaceTimeField"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    """A generated __eq__ would compare the arrays and raise on their truth
+    value; these classes compare and hash by identity instead."""
+    u, v = make(), make()
+    assert u == u and u != v
+    assert u in [v, u] and u not in [v]
+    assert hash(u) == hash(u) and len({u, v, u}) == 2

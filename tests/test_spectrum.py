@@ -277,7 +277,7 @@ class TestTransforms:
 
     @pytest.mark.parametrize("k", [8, 9, 2001])
     def test_time_transform_bit_equal_to_scipy_fft(self, k):
-        # SpaceTimeField.time_modes: a unitary forward transform along axis 0
+        # SpaceTimeField's time DFT: a unitary forward transform along axis 0
         x = np.random.default_rng(k).normal(size=(k, 65, 2)).view(np.complex128)[..., 0]
         got = c2c(x, (0,), True, 1, None, 1)
         expected = fft(x, axis=0, norm="ortho")
