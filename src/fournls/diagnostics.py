@@ -25,10 +25,12 @@ from .spectrum import (
     c2c,
     grid_plan,
     mass,
+    quiet,
     to_grid,
 )
 
 
+@quiet
 def hamiltonian(u, mu_sign: int = 1):
     """E(u) = sum n^4 |c_n|^2 - (mu/2) sum_{n1-n2+n3-n4=0} c1 conj(c2) c3 conj(c4)
     of one FourierState (a float) or of each row of (..., 2*n_max+1) amplitudes.
@@ -41,18 +43,17 @@ def hamiltonian(u, mu_sign: int = 1):
         return float(hamiltonian(u.coeffs, mu_sign))
     n_max = (u.shape[-1] - 1) // 2
     m, idx = grid_plan(n_max)
-    with np.errstate(over="ignore", invalid="ignore"):  # a value may be inf or nan
-        quadratic = np.sum(np.arange(-n_max, n_max + 1.0) ** 4 * np.abs(u) ** 2, axis=-1)
-        quartic = np.sum(np.abs(to_grid(u, m, idx)) ** 4, axis=-1) / m
-        return quadratic - 0.5 * mu_sign * quartic
+    quadratic = np.sum(np.arange(-n_max, n_max + 1.0) ** 4 * np.abs(u) ** 2, axis=-1)
+    quartic = np.sum(np.abs(to_grid(u, m, idx)) ** 4, axis=-1) / m
+    return quadratic - 0.5 * mu_sign * quartic
 
 
+@quiet
 def symplectic_form(u: FourierState, v: FourierState) -> float:
     """omega0(u, v) = -Im int u conj(v) dx = -Im(2pi sum_n u_n conj(v_n))."""
     if u.n_max != v.n_max:
         raise ValueError("symplectic_form requires equal n_max")
-    with np.errstate(over="ignore", invalid="ignore"):  # a float may be inf or nan
-        return float(-np.imag(2.0 * np.pi * np.sum(u.coeffs * np.conj(v.coeffs))))
+    return float(-np.imag(2.0 * np.pi * np.sum(u.coeffs * np.conj(v.coeffs))))
 
 
 def smoothing_gap(traj: Trajectory) -> np.ndarray:
@@ -60,15 +61,16 @@ def smoothing_gap(traj: Trajectory) -> np.ndarray:
     return np.max(_modulus_gap(traj), axis=1)
 
 
+@quiet
 def _modulus_gap(traj: Trajectory) -> np.ndarray:
     """| |c_n(t)|^2 - |c_n(0)|^2 | per sample and mode, in one float array."""
     gap = np.abs(traj.coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):  # a gap may be inf or nan
-        gap **= 2
-        gap -= gap[0].copy()
+    gap **= 2
+    gap -= gap[0].copy()
     return np.abs(gap, out=gap)
 
 
+@quiet
 def dyadic_gap_profile(traj: Trajectory, s: float) -> dict:
     """Per dyadic block, sum_{n in I_N} <n>^{2s} | |c_n(t)|^2 - |c_n(0)|^2 |.
 
@@ -80,6 +82,7 @@ def dyadic_gap_profile(traj: Trajectory, s: float) -> dict:
     return {b.level: np.sum(gap[:, b.contains(n)], axis=1) for b in blocks_covering(traj.n_max)}
 
 
+@quiet
 def modulus_rate(u: FourierState, mu_sign: int = 1) -> np.ndarray:
     """d/dt |c_n|^2 along the flow: 2 mu Re[N_NR(u)(n) conj(c_n)].
 
@@ -127,6 +130,7 @@ class SpaceTimeField:
     tau: np.ndarray = field(init=False, repr=False)
     tilde: np.ndarray = field(init=False, repr=False)
 
+    @quiet
     def __post_init__(self):
         traj = self.trajectory
         if len(traj) < 8:
@@ -142,32 +146,30 @@ class SpaceTimeField:
         # (unitary scale 1/sqrt(samples)), with at most two (samples, modes) arrays alive.
         # Fresh temporaries lead each complex product: numpy keeps this order at every size.
         tilde = np.zeros(traj.coeffs.shape, dtype=np.complex128)
-        with np.errstate(over="ignore", invalid="ignore"):  # a mode may be inf or nan
-            np.outer(traj.times, phi, out=tilde.real)
-            np.multiply(-1j, tilde, out=tilde)
-            tilde = np.exp(tilde) * traj.coeffs
-            np.multiply(taper[:, None], tilde, out=tilde)
-            c2c(tilde, (0,), True, 1, tilde, 1)
+        np.outer(traj.times, phi, out=tilde.real)
+        np.multiply(-1j, tilde, out=tilde)
+        tilde = np.exp(tilde) * traj.coeffs
+        np.multiply(taper[:, None], tilde, out=tilde)
+        c2c(tilde, (0,), True, 1, tilde, 1)
         tau = 2.0 * np.pi * np.fft.fftfreq(len(traj), d=traj.dt)
         for name, value in (("taper", taper), ("tau", tau), ("tilde", tilde)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
 
+@quiet
 def ysb_norm(field: SpaceTimeField, s: float, b: float, z_part: bool = False) -> float:
     """Discrete X^{s,b} (plain field) or Y^{s,b} (modified field) space-time
     norm of field.tilde. With z_part=True the l2_n L1_tau companion of
     Z^{s,1/2} is returned instead (b is then ignored)."""
     wn = (1.0 + np.arange(-field.trajectory.n_max, field.trajectory.n_max + 1.0) ** 2) ** s
     mag = np.abs(field.tilde)
-    with np.errstate(over="ignore", invalid="ignore"):  # the norm may be inf or nan
-        if z_part:
-            per_mode = np.sum(mag, axis=0)
-            return float(np.sqrt(np.sum(wn * per_mode**2)))
-        wt = (1.0 + field.tau**2) ** b
-        mag **= 2
-        np.multiply(wn[None, :] * wt[:, None], mag, out=mag)
-        return float(np.sqrt(np.sum(mag)))
+    if z_part:
+        return float(np.sqrt(np.sum(wn * np.sum(mag, axis=0) ** 2)))
+    wt = (1.0 + field.tau**2) ** b
+    mag **= 2
+    np.multiply(wn[None, :] * wt[:, None], mag, out=mag)
+    return float(np.sqrt(np.sum(mag)))
 
 
 # ---------------------------------------------------------------------------

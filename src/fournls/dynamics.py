@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import (FourierState, Trajectory, _int_arg, _is_int, _is_real, _row_mass, as_rows,
-                       from_grid, grid_plan, odd_padded_grid_size, resize, to_grid)
+                       from_grid, grid_plan, odd_padded_grid_size, quiet, resize, to_grid)
 
 
 class NumericFailure(RuntimeError):
@@ -97,7 +97,7 @@ def _cubic_conv_raw(cu, cv, cw, m, idx) -> np.ndarray:
 
     An argument that is the same array as cu reuses its inverse FFT, so
     the self-product costs one inverse transform instead of three.
-    An overflow gives non-finite modes; callers set np.errstate.
+    An overflow gives non-finite modes; callers wear `quiet`.
     """
     gu = to_grid(cu, m, idx)
     gv = gu if cv is cu else to_grid(cv, m, idx)
@@ -105,6 +105,7 @@ def _cubic_conv_raw(cu, cv, cw, m, idx) -> np.ndarray:
     return from_grid(np.conj(gv) * gu * gw, idx)
 
 
+@quiet
 def cubic_convolution(u: FourierState, v: FourierState, w: FourierState) -> FourierState:
     """d_n = sum_{n1-n2+n3=n, |ni|<=N, |n|<=N} u(n1) conj(v(n2)) w(n3).
 
@@ -113,15 +114,14 @@ def cubic_convolution(u: FourierState, v: FourierState, w: FourierState) -> Four
     if not (u.n_max == v.n_max == w.n_max):
         raise ValueError("cubic_convolution requires equal n_max")
     m, idx = grid_plan(u.n_max)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return u.with_coeffs(_cubic_conv_raw(u.coeffs, v.coeffs, w.coeffs, m, idx))
+    return u.with_coeffs(_cubic_conv_raw(u.coeffs, v.coeffs, w.coeffs, m, idx))
 
 
+@quiet
 def nonlinearity_resonant(u: FourierState) -> FourierState:
     """Resonant part: N_R(u)(n) = i |c_n|^2 c_n - 2i (sum_k |c_k|^2) c_n."""
     c = u.coeffs
-    with np.errstate(invalid="ignore", over="ignore"):
-        return u.with_coeffs(1j * np.abs(c) ** 2 * c - 2j * _row_mass(c) * c)
+    return u.with_coeffs(1j * np.abs(c) ** 2 * c - 2j * _row_mass(c) * c)
 
 
 def nonlinearity_nonresonant(u: FourierState) -> FourierState:
@@ -194,6 +194,7 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
     return rk4
 
 
+@quiet
 def _run(c0: np.ndarray, k: int, spec: IntegratorSpec, kind: EquationKind,
          sample_stride: int) -> np.ndarray:
     """Take k steps from the raw amplitude rows c0, shape (..., 2N+1), on
@@ -201,19 +202,17 @@ def _run(c0: np.ndarray, k: int, spec: IntegratorSpec, kind: EquationKind,
     (k // sample_stride + 1, ..., 2N+1) array, starting with the datum.
     A single trajectory is the 1-D case.
 
-    Raises NumericFailure(i) when step i leaves any row non-finite; an
-    overflow on the way raises no warning.
+    Raises NumericFailure(i) when step i leaves any row non-finite.
     """
     advance = _stepper((c0.shape[-1] - 1) // 2, spec, kind)
     samples = np.empty((k // sample_stride + 1,) + c0.shape, dtype=np.complex128)
     samples[0] = c = c0
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(k):
-            c = advance(c)
-            if not np.isfinite(c.view(np.float64)).all():
-                raise NumericFailure(i)
-            if (i + 1) % sample_stride == 0:
-                samples[(i + 1) // sample_stride] = c
+    for i in range(k):
+        c = advance(c)
+        if not np.isfinite(c.view(np.float64)).all():
+            raise NumericFailure(i)
+        if (i + 1) % sample_stride == 0:
+            samples[(i + 1) // sample_stride] = c
     samples.flags.writeable = False
     return samples
 
@@ -275,6 +274,7 @@ def integrate_batch(data, T: float, spec: IntegratorSpec, kind: EquationKind,
     return _run(c0, k, spec, kind, sample_stride)
 
 
+@quiet
 def exact_resonant_flow(u0: FourierState, t: float, mu: int = 1) -> FourierState:
     """Closed-form flow of the purely resonant system
 
@@ -284,5 +284,4 @@ def exact_resonant_flow(u0: FourierState, t: float, mu: int = 1) -> FourierState
     c_n(t) = exp(i mu t (|c_n(0)|^2 - 2 M0)) c_n(0) with M0 the mass.
     """
     c = u0.coeffs
-    with np.errstate(invalid="ignore", over="ignore"):
-        return u0.with_coeffs(np.exp(1j * mu * t * (np.abs(c) ** 2 - 2.0 * _row_mass(c))) * c)
+    return u0.with_coeffs(np.exp(1j * mu * t * (np.abs(c) ** 2 - 2.0 * _row_mass(c))) * c)

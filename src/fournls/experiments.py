@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import (EquationKind, IntegratorSpec, Kind, Scheme, integrate,
                        integrate_batch)
-from .spectrum import FourierState, _int_arg, _is_real, resize
+from .spectrum import FourierState, _int_arg, _is_real, quiet, resize
 
 
 def derive_rng(root_seed: int, *key) -> np.random.Generator:
@@ -60,6 +60,7 @@ class ProfileSpec:
         object.__setattr__(self, "seed", _int_arg("seed", self.seed, 0))
         object.__setattr__(self, "mode", _int_arg("mode", self.mode))
 
+    @quiet
     def build(self, n_max: int) -> FourierState:
         if self.kind is ProfileKind.SINGLE_MODE:
             if abs(self.mode) > n_max:
@@ -68,13 +69,12 @@ class ProfileSpec:
         ns = np.arange(-n_max, n_max + 1)
         rng = derive_rng(self.seed, "profile", self.kind.value)
         phases = np.exp(2j * np.pi * rng.random(2 * n_max + 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind is ProfileKind.EXP_DECAY:
-                mag = np.exp(-self.decay * np.abs(ns))
-            else:
-                mag = (1.0 + np.abs(ns)) ** (-self.decay)
-            c = mag * phases
-            norm = np.linalg.norm(c)
+        if self.kind is ProfileKind.EXP_DECAY:
+            mag = np.exp(-self.decay * np.abs(ns))
+        else:
+            mag = (1.0 + np.abs(ns)) ** (-self.decay)
+        c = mag * phases
+        norm = np.linalg.norm(c)
         if not 0.0 < norm < np.inf:
             raise ValueError(f"{self.kind.value} profile cannot be normalised at "
                              f"decay={self.decay}")

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import EquationKind, IntegratorSpec, Kind, integrate
-from .spectrum import FourierState, _is_real, mass
+from .spectrum import FourierState, _is_real, mass, quiet
 
 
+@quiet
 def gauge_apply(u, t, mass0: float, mu_sign: int = 1):
     """Multiply every mode by e^{2 i mu t mass0}: of one FourierState at time
     t, or of amplitude rows (..., 2*n_max+1) with one time per row in t."""

@@ -17,35 +17,28 @@ and the G functions add float64 weights |c0(n)|^2.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product, repeat
-from operator import itemgetter
 
 import numpy as np
 
-from .spectrum import FourierState, _int_arg, resize
+from .spectrum import FourierState, _int_arg, quiet, resize
 
 
-class ResonanceQuadruple(tuple):
+class ResonanceQuadruple(namedtuple("ResonanceQuadruple", "n1 n2 n3")):
     """A non-resonant triple (n1, n2, n3) of Python integers, as an immutable
-    tuple; n = n1 - n2 + n3 completes the quadruple."""
+    named tuple; n = n1 - n2 + n3 completes the quadruple. Copy, pickle and
+    _replace go through the checked __new__."""
 
     __slots__ = ()
-    n1 = property(itemgetter(0))
-    n2 = property(itemgetter(1))
-    n3 = property(itemgetter(2))
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
 
     def __new__(cls, n1: int, n2: int, n3: int):
         n1, n2, n3 = _int_arg("n1", n1), _int_arg("n2", n2), _int_arg("n3", n3)
         if n1 == n2 or n2 == n3:
             raise ValueError("trivially resonant triple (n1=n2 or n2=n3)")
-        return tuple.__new__(cls, (n1, n2, n3))
-
-    def __getnewargs__(self):  # copy and pickle call __new__(cls, n1, n2, n3)
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return "ResonanceQuadruple(n1={!r}, n2={!r}, n3={!r})".format(*self)
+        return super().__new__(cls, n1, n2, n3)
 
     @property
     def h(self) -> int:
@@ -97,6 +90,7 @@ class ModifiedPhase:
 
     reference: FourierState
 
+    @quiet
     def weight(self, n: int) -> float:
         """|c0(n)|^2, the data-dependent part of mu(n)."""
         if abs(n) > self.reference.n_max:
@@ -104,20 +98,19 @@ class ModifiedPhase:
                 f"frequency {n} outside reference support |n| <= {self.reference.n_max}"
             )
         # mu_array's np.abs(c0) ** 2 squares; on a scalar, ** 2 would call pow
-        with np.errstate(over="ignore", invalid="ignore"):  # a float may be inf
-            return float(np.square(np.abs(self.reference.mode(n))))
+        return float(np.square(np.abs(self.reference.mode(n))))
 
     def mu(self, n: int) -> float:
         return float(n) ** 4 + self.weight(n)
 
+    @quiet
     def mu_array(self, n_max: int) -> np.ndarray:
         """mu(n) for n = -n_max..n_max; requires 0 <= n_max <= reference n_max."""
         if not 0 <= n_max <= self.reference.n_max:
             raise ValueError(
                 f"n_max must be in 0..{self.reference.n_max}, got {n_max}")
         c0 = resize(self.reference.coeffs, n_max)
-        with np.errstate(over="ignore", invalid="ignore"):  # a weight may be inf
-            return np.arange(-n_max, n_max + 1, dtype=np.float64) ** 4 + np.abs(c0) ** 2
+        return np.arange(-n_max, n_max + 1, dtype=np.float64) ** 4 + np.abs(c0) ** 2
 
 
 def g_value(n1: int, n2: int, n3: int, phase: ModifiedPhase) -> float:
@@ -159,6 +152,7 @@ def g_tilde_value(
     return float(outer + inner) + corr
 
 
+@quiet
 def normal_form_boundary(u: FourierState, n: int) -> complex:
     """Boundary sum of the normal-form reduction at frequency n:
 
@@ -173,9 +167,8 @@ def normal_form_boundary(u: FourierState, n: int) -> complex:
         return 0.0 + 0.0j
     n1, n2, n3 = _nonresonant(n, n_max)
     h = h_factored(n1, n2, n3).astype(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # the sum may be inf or nan
-        terms = c[n1 + n_max] * np.conj(c[n2 + n_max]) * c[n3 + n_max] * np.conj(cn)
-        return complex(np.sum(terms / (1j * h)))
+    terms = c[n1 + n_max] * np.conj(c[n2 + n_max]) * c[n3 + n_max] * np.conj(cn)
+    return complex(np.sum(terms / (1j * h)))
 
 
 def resonance_table_rows(n_max: int):

@@ -33,6 +33,10 @@ def _pocketfft():
 _pypocketfft = _pocketfft()
 c2c, good_size = _pypocketfft.c2c, _pypocketfft.good_size  # undispatched
 
+# The overflow policy: inf or nan, no warning. Wear it as a decorator, never in a
+# with statement: it then sets the state per call, so nested calls are safe.
+quiet = np.errstate(over="ignore", invalid="ignore")
+
 STATE_FORMAT = "4nls-state/1"
 TRAJ_FORMAT = "4nls-traj/1"
 
@@ -156,6 +160,7 @@ class Trajectory:
         return (self.coeffs.shape[1] - 1) // 2
 
     @property
+    @quiet
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self))
 
@@ -233,18 +238,17 @@ def odd_padded_grid_size(n_max: int) -> int:
 
 
 def _row_mass(c):
-    """sum_n |c_n|^2 of each row of c; an overflow warns unless the caller
-    holds an np.errstate, as the stepping kernel does."""
+    """sum_n |c_n|^2 of each row of c, inf on overflow; callers wear `quiet`."""
     return np.sum(np.abs(c) ** 2, axis=-1)
 
 
+@quiet
 def mass(u):
     """sum_n |c_n|^2 = (1/2pi) int |u|^2 dx of one FourierState (a float)
     or of each amplitude row of an array of shape (..., 2*n_max+1)."""
     if isinstance(u, FourierState):
         return float(mass(u.coeffs))
-    with np.errstate(over="ignore"):  # a mass may be inf
-        return _row_mass(u)
+    return _row_mass(u)
 
 
 def _pairs(coeffs: np.ndarray) -> list:

@@ -107,6 +107,25 @@ class TestMassHamiltonian:
             got = f(traj)
         assert not np.any(np.isfinite(got))
 
+    @pytest.mark.parametrize("f", [
+        lambda tr: np.stack(list(dyadic_gap_profile(tr, np.inf).values())),
+        lambda tr: np.stack(list(dyadic_gap_profile(tr, 1e300).values())),
+        lambda tr: ysb_norm(SpaceTimeField(tr), 1e300, 0.5),
+        lambda tr: ysb_norm(SpaceTimeField(tr), 1e300, 0.5, z_part=True),
+        lambda tr: modulus_rate(tr[0], np.inf),
+        lambda tr: Trajectory(0.0, 1e308, tr.coeffs).times[2:],  # t >= 2e308
+    ], ids=["dyadic_gap_profile-s-inf", "dyadic_gap_profile-s-1e300", "ysb_norm-s-1e300",
+            "ysb_norm-z_part-s-1e300", "modulus_rate-mu_sign-inf", "times-dt-1e308"])
+    def test_overflowing_parameter_gives_nonfinite_values_without_warning(self, f):
+        """A plane wave, whose gaps and rates are 0, and a weight exponent,
+        sign or sample spacing that overflows: 0 * inf is nan."""
+        wave = FourierState.from_modes(3, {1: 1.0}).coeffs
+        traj = Trajectory(0.0, 0.1, np.tile(wave, (10, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(traj)
+        assert not np.any(np.isfinite(got))
+
     @pytest.mark.parametrize("scheme", [Scheme.EXP_RK4, Scheme.STRANG])
     @pytest.mark.parametrize("kind", [FULL, WICK, EquationKind(Kind.FULL_4NLS, -1)],
                              ids=["full", "wick", "mu-1"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,19 @@ class TestGaugeTransform:
     def test_rejects_non_finite_mass(self, mass0):
         with pytest.raises(ValueError, match="mass0 must be nonnegative and finite"):
             gauge_apply(np.ones((2, 5)), np.zeros(2), mass0)
+
+    @pytest.mark.parametrize("t", [1e308, np.inf], ids=["1e308", "inf"])
+    def test_overflowing_time_gives_nonfinite_rows_without_warning(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gauge_apply(np.ones((2, 5)), t, 1.0)
+        assert not np.any(np.isfinite(got))
+
+    def test_overflowing_time_on_a_state_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coeffs contain NaN or Inf"):
+                gauge_apply(random_state(4, seed=1), 1e308, 1.0)
 
 
 class TestGaugeEquivalence:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,12 @@ def test_array_holders_compare_and_hash_by_identity(make):
     assert u == u and u != v
     assert u in [v, u] and u not in [v]
     assert hash(u) == hash(u) and len({u, v, u}) == 2
+
+
+def test_overflow_policy_has_one_owner():
+    """The one errstate in the package is spectrum.quiet: every function whose
+    arithmetic can overflow wears that decorator instead of spelling the
+    policy again."""
+    calls = [(path.name, line) for path in sorted(Path(fournls.__file__).parent.glob("*.py"))
+             for line in path.read_text().splitlines() if "errstate(" in line]
+    assert calls == [("spectrum.py", 'quiet = np.errstate(over="ignore", invalid="ignore")')]

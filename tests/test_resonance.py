@@ -114,6 +114,13 @@ class TestEnumeration:
                         q.n1 = 0
                     assert hash(q) == hash((q.n1, q.n2, q.n3))
 
+    def test_replace_keeps_the_check(self):
+        q = ResonanceQuadruple(2, -1, 3)
+        r = q._replace(n3=4)
+        assert type(r) is ResonanceQuadruple and r == (2, -1, 4) and r.h == h_value(2, -1, 4)
+        with pytest.raises(ValueError, match="trivially resonant"):
+            q._replace(n2=2)
+
     def test_copy_and_pickle_keep_the_quadruple(self):
         q = ResonanceQuadruple(2, -1, 3)
         for got in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
