@@ -42,9 +42,9 @@ def hamiltonian(u, mu_sign: int = 1):
     if isinstance(u, FourierState):
         return float(hamiltonian(u.coeffs, mu_sign))
     n_max = (u.shape[-1] - 1) // 2
-    m, idx = grid_plan(n_max)
+    m = grid_plan(n_max)
     quadratic = np.sum(np.arange(-n_max, n_max + 1.0) ** 4 * np.abs(u) ** 2, axis=-1)
-    quartic = np.sum(np.abs(to_grid(u, m, idx)) ** 4, axis=-1) / m
+    quartic = np.sum(np.abs(to_grid(u, m)) ** 4, axis=-1) / m
     return quadratic - 0.5 * mu_sign * quartic
 
 

@@ -92,17 +92,18 @@ class IntegratorSpec:
         return k
 
 
-def _cubic_conv_raw(cu, cv, cw, m, idx) -> np.ndarray:
-    """Raw-array cubic convolution: the coefficients of the field values conj(v) u w.
+def _cubic_conv_raw(cu, cv, cw, m) -> np.ndarray:
+    """Raw-array cubic convolution on the length-m grid: the coefficients of conj(v) u w as a
+    view of its grid, whose to_grid factors e^{iNx_j} net to one, as from_grid expects.
 
     An argument that is the same array as cu reuses its inverse FFT, so
     the self-product costs one inverse transform instead of three.
     An overflow gives non-finite modes; callers wear `quiet`.
     """
-    gu = to_grid(cu, m, idx)
-    gv = gu if cv is cu else to_grid(cv, m, idx)
-    gw = gu if cw is cu else to_grid(cw, m, idx)
-    return from_grid(np.conj(gv) * gu * gw, idx)
+    gu = to_grid(cu, m)
+    gv = gu if cv is cu else to_grid(cv, m)
+    gw = gu if cw is cu else to_grid(cw, m)
+    return from_grid(np.conj(gv) * gu * gw, (cu.shape[-1] - 1) // 2)
 
 
 @quiet
@@ -113,8 +114,7 @@ def cubic_convolution(u: FourierState, v: FourierState, w: FourierState) -> Four
     """
     if not (u.n_max == v.n_max == w.n_max):
         raise ValueError("cubic_convolution requires equal n_max")
-    m, idx = grid_plan(u.n_max)
-    return u.with_coeffs(_cubic_conv_raw(u.coeffs, v.coeffs, w.coeffs, m, idx))
+    return u.with_coeffs(_cubic_conv_raw(u.coeffs, v.coeffs, w.coeffs, grid_plan(u.n_max)))
 
 
 @quiet
@@ -135,12 +135,12 @@ def nonlinearity_nonresonant(u: FourierState) -> FourierState:
     return u.with_coeffs(-1j * conv.coeffs - res.coeffs)
 
 
-def _nonlinear_rhs_raw(c: np.ndarray, kind: EquationKind, m, idx) -> np.ndarray:
+def _nonlinear_rhs_raw(c: np.ndarray, kind: EquationKind, m) -> np.ndarray:
     """Nonlinear part of dc/dt (linear phase excluded) for raw amplitude
     rows c of shape (..., 2*n_max+1)."""
     if kind.mu == 0:
         return np.zeros_like(c)
-    conv = _cubic_conv_raw(c, c, c, m, idx)
+    conv = _cubic_conv_raw(c, c, c, m)
     if kind.kind is Kind.FULL_4NLS:
         return -1j * kind.mu * conv
     # wick: resonant self-phase kept, mass shift removed from the convolution
@@ -151,37 +151,35 @@ def _stepper(n_max: int, spec: IntegratorSpec, kind: EquationKind):
     """Raw-array one-step map c -> c(dt) for amplitude rows of shape
     (..., 2*n_max+1), n = -n_max..n_max; each row steps independently.
 
-    The phases e^{i dt n^4/2} and the FFT layout are built once here, so
+    The phases e^{i dt n^4/2} and the grid length are built once here, so
     a run pays for them once rather than every step.
     EXP_RK4 is Lawson (interaction-picture) RK4: the linear phase is exact.
     STRANG treats 2*n_max+1 as its collocation grid (integrate lifts the
-    state first) and every substep is unitary.
+    state first); every substep is unitary, and its phase reads only |grid|.
     """
     dt = spec.dt
     modes = np.arange(-n_max, n_max + 1)
     e_half = np.exp(0.5j * dt * modes.astype(np.float64) ** 4)
 
     if spec.scheme is Scheme.STRANG:
-        m, idx = grid_plan(n_max, 2 * n_max + 1)
-
         def strang(c):
             c = e_half * c
             if kind.mu != 0:
-                grid = to_grid(c, m, idx)
+                grid = to_grid(c, 2 * n_max + 1)
                 phase = -kind.mu * np.abs(grid) ** 2 * dt
                 if kind.kind is Kind.WICK_4WNLS:
                     phase = phase + 2.0 * kind.mu * _row_mass(c)[..., None] * dt
-                c = from_grid(np.exp(1j * phase) * grid, idx)
+                c = from_grid(np.exp(1j * phase) * grid, n_max)
             return e_half * c
 
         return strang
 
     e_full = e_half * e_half
     back_half, back_full = np.conj(e_half), np.conj(e_full)
-    m, idx = grid_plan(n_max)
+    m = grid_plan(n_max)
 
     def nl(c):
-        return _nonlinear_rhs_raw(c, kind, m, idx)
+        return _nonlinear_rhs_raw(c, kind, m)
 
     # Fresh temporaries lead each complex product: numpy keeps this order at every size.
     def rk4(c0):

@@ -204,34 +204,34 @@ def blocks_covering(n_max: int) -> list[DyadicBlock]:
     return [DyadicBlock(2**j) for j in range(max(_int_arg("n_max", n_max), 0).bit_length() + 1)]
 
 
-def to_grid(c, m: int, idx) -> np.ndarray:
-    """The field values u(x_j), x_j = 2 pi j/m, of the amplitudes c, shape
-    (..., 2*n_max+1), zero-padded onto the length-m FFT layout idx: the unscaled
-    inverse transform of the last axis, scipy.fft.ifft(..., norm="forward") bit for bit."""
+def to_grid(c, m: int) -> np.ndarray:
+    """The field values e^{iNx_j} u(x_j), x_j = 2 pi j/m, of amplitudes c, shape (..., 2N+1):
+    mode n at slot n + N of a zero length-m grid (c itself when m = 2N+1), inverse transformed
+    unscaled along the last axis; scipy.fft.ifft(..., norm="forward") bit for bit, c unchanged."""
+    if m == c.shape[-1]:
+        return c2c(np.asarray(c, dtype=np.complex128), (-1,), False, 0, None, 1)
     spectrum = np.zeros(c.shape[:-1] + (m,), dtype=np.complex128)
-    spectrum.T[idx] = c.T  # scatter along the last axis; cheaper than [..., idx]
+    spectrum[..., : c.shape[-1]] = c
     return c2c(spectrum, (-1,), False, 0, spectrum, 1)  # in place, unscaled, one thread
 
 
-def from_grid(g: np.ndarray, idx) -> np.ndarray:
-    """The coefficients c_n at layout idx of the field values g, a C-contiguous
-    complex128 grid along the last axis: the forward transform with 1/m, scipy.fft.fft(g,
-    norm="forward").take(idx, axis=-1) bit for bit. Transforms in place, so g is overwritten."""
-    return c2c(g, (-1,), True, 2, g, 1).take(idx, axis=-1)
+def from_grid(g: np.ndarray, n_max: int) -> np.ndarray:
+    """The coefficients c_n, |n| <= n_max, of a C-contiguous complex128 grid g whose field
+    carries to_grid's factor e^{i n_max x_j} once: scipy.fft.fft(g, norm="forward")[...,
+    :2*n_max+1] bit for bit, slot n + n_max holding c_n. In place: g is overwritten and the
+    result is a view of it."""
+    return c2c(g, (-1,), True, 2, g, 1)[..., : 2 * n_max + 1]
 
 
-def grid_plan(n_max: int, m: int | None = None) -> tuple:
-    """The FFT grid (m, idx) of the modes -n_max..n_max: its length m,
-    by default the smallest efficient one >= 4*n_max+1 (alias-free cubic
-    products), and idx, the layout slot of each mode in to_grid/from_grid."""
-    if m is None:
-        m = good_size(4 * n_max + 1, False)  # = scipy.fft.next_fast_len
-    return m, np.arange(-n_max, n_max + 1) % m
+def grid_plan(n_max: int) -> int:
+    """The FFT grid length m of the modes -n_max..n_max: the smallest efficient
+    one >= 4*n_max+1, on which cubic products are alias-free."""
+    return good_size(4 * n_max + 1, False)  # = scipy.fft.next_fast_len
 
 
 def odd_padded_grid_size(n_max: int) -> int:
     """Smallest efficient odd transform length >= 4*n_max+1."""
-    m = good_size(4 * n_max + 1, False)
+    m = grid_plan(n_max)
     while m % 2 == 0:
         m = good_size(m + 1, False)
     return m

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,9 @@ from fournls.dynamics import (
     Kind,
     NumericFailure,
     Scheme,
+    _cubic_conv_raw,
     _nonlinear_rhs_raw,
+    _stepper,
     cubic_convolution,
     exact_resonant_flow,
     integrate,
@@ -23,7 +26,8 @@ from fournls.dynamics import (
     nonlinearity_resonant,
     step,
 )
-from fournls.spectrum import FourierState, grid_plan, mass
+from fournls.diagnostics import hamiltonian
+from fournls.spectrum import FourierState, from_grid, grid_plan, mass
 
 
 def cubic_convolution_direct(u, v, w):
@@ -169,14 +173,14 @@ class TestSplitting:
         # wick rhs = full rhs + 2 i mu M0 c  (mass term removed by Wick ordering)
         u = random_state(6, seed=5)
         m0 = np.sum(np.abs(u.coeffs) ** 2)
-        plan = grid_plan(u.n_max)
-        r_full = _nonlinear_rhs_raw(u.coeffs, FULL, *plan)
-        r_wick = _nonlinear_rhs_raw(u.coeffs, WICK, *plan)
+        m = grid_plan(u.n_max)
+        r_full = _nonlinear_rhs_raw(u.coeffs, FULL, m)
+        r_wick = _nonlinear_rhs_raw(u.coeffs, WICK, m)
         assert np.allclose(r_wick, r_full + 2j * m0 * u.coeffs, atol=1e-13)
 
     def test_linear_only_mode(self):
         u = random_state(4, seed=6)
-        r = _nonlinear_rhs_raw(u.coeffs, EquationKind(Kind.FULL_4NLS, 0), *grid_plan(u.n_max))
+        r = _nonlinear_rhs_raw(u.coeffs, EquationKind(Kind.FULL_4NLS, 0), grid_plan(u.n_max))
         assert np.array_equal(r, np.zeros_like(u.coeffs))
 
 
@@ -389,3 +393,111 @@ class TestStep:
         for _ in range(200):
             u = step(u, spec, FULL)
         assert abs(mass(u) - 1.0) <= 1e-12
+
+
+def _old_layout(n_max, m):
+    """The FFT layout before modes moved to slot n + N: mode n at slot n mod m."""
+    return np.arange(-n_max, n_max + 1) % m
+
+
+def _old_to_grid(c, m):
+    spectrum = np.zeros(c.shape[:-1] + (m,), dtype=np.complex128)
+    spectrum[..., _old_layout((c.shape[-1] - 1) // 2, m)] = c
+    return scipy.fft.ifft(spectrum, norm="forward")
+
+
+def _old_from_grid(g, n_max):
+    return scipy.fft.fft(g, norm="forward")[..., _old_layout(n_max, g.shape[-1])]
+
+
+def _old_conv(c):
+    n_max = (c.shape[-1] - 1) // 2
+    g = _old_to_grid(c, scipy.fft.next_fast_len(4 * n_max + 1))
+    return _old_from_grid(np.conj(g) * g * g, n_max)
+
+
+def _old_hamiltonian(c):
+    n_max = (c.shape[-1] - 1) // 2
+    m = scipy.fft.next_fast_len(4 * n_max + 1)
+    quartic = np.sum(np.abs(_old_to_grid(c, m)) ** 4, axis=-1) / m
+    return np.sum(np.arange(-n_max, n_max + 1.0) ** 4 * np.abs(c) ** 2, axis=-1) - 0.5 * quartic
+
+
+def _old_step(c, scheme, kind, dt):
+    """One Lawson RK4 or Strang step (mu = 1) on the old layout."""
+    n_max = (c.shape[-1] - 1) // 2
+    e_half = np.exp(0.5j * dt * np.arange(-n_max, n_max + 1.0) ** 4)
+    wick = kind is Kind.WICK_4WNLS
+
+    def mass(v):
+        return np.sum(np.abs(v) ** 2, axis=-1)[..., None]
+
+    if scheme is Scheme.STRANG:
+        c = e_half * c
+        grid = _old_to_grid(c, 2 * n_max + 1)
+        phase = (-np.abs(grid) ** 2 + 2.0 * wick * mass(c)) * dt
+        return e_half * _old_from_grid(np.exp(1j * phase) * grid, n_max)
+
+    def nl(v):
+        return -1j * _old_conv(v) + 2j * wick * mass(v) * v
+
+    k1 = nl(c)
+    k2 = nl((c + 0.5 * dt * k1) * e_half) / e_half
+    k3 = nl((c + 0.5 * dt * k2) * e_half) / e_half
+    k4 = nl((c + dt * k3) * e_half**2) / e_half**2
+    return (c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * e_half**2
+
+
+class TestSlotLayout:
+    """Mode n sits at grid slot n + N, which multiplies each field by e^{iNx_j};
+    the cubic product, both steps and the Hamiltonian must match the old
+    slot-n-mod-m layout to roundoff."""
+
+    @staticmethod
+    def _rel(got, expected):
+        return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["1d", "batch"])
+    @pytest.mark.parametrize("n_max", [0, 1, 16, 33, 256, 1024])
+    def test_matches_the_old_layout(self, n_max, rows):
+        rng = np.random.default_rng(n_max)
+        c = rng.normal(size=rows + (2 * n_max + 1, 2)).view(np.complex128)[..., 0]
+        c /= np.linalg.norm(c, axis=-1, keepdims=True)
+        conv = _cubic_conv_raw(c, c, c, grid_plan(n_max))
+        assert self._rel(conv, _old_conv(c)) <= 1e-14
+        if not rows:
+            u = FourierState(n_max, c)
+            assert np.array_equal(cubic_convolution(u, u, u).coeffs, conv)
+        assert self._rel(hamiltonian(c), _old_hamiltonian(c)) <= 1e-14
+        for scheme in Scheme:
+            for kind in (FULL, WICK):
+                got = _stepper(n_max, IntegratorSpec(scheme, 1e-3), kind)(c)
+                assert self._rel(got, _old_step(c, scheme, kind.kind, 1e-3)) <= 1e-14, (scheme, kind)
+
+
+class TestGridBuffers:
+    """from_grid returns a view of its grid; what the package hands out is
+    never such a view."""
+
+    @pytest.mark.parametrize("n_max, m", [(0, 1), (5, 21), (5, 11), (16, 65)])
+    def test_from_grid_rows_equal_per_row_calls(self, n_max, m):
+        g = np.random.default_rng(m).normal(size=(4, m, 2)).view(np.complex128)[..., 0]
+        rows = [from_grid(g[b].copy(), n_max) for b in range(4)]
+        whole = g.copy()
+        got = from_grid(whole, n_max)
+        assert got.shape == (4, 2 * n_max + 1) and np.shares_memory(got, whole)
+        for b, row in enumerate(rows):
+            assert np.array_equal(got[b].view(np.float64), row.view(np.float64))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_outputs_are_read_only_and_own_their_memory(self, scheme):
+        spec = IntegratorSpec(scheme, 1e-3)
+        u = random_state(8, seed=3)
+        data = np.stack([u.coeffs, random_state(8, seed=4).coeffs])
+        for call in (lambda: integrate_batch(data, 2e-3, spec, FULL),
+                     lambda: integrate(u, 2e-3, spec, FULL).coeffs,
+                     lambda: step(u, spec, WICK).coeffs,
+                     lambda: cubic_convolution(u, u, u).coeffs):
+            a, b = call(), call()
+            assert not a.flags.writeable and a.base is None
+            assert not np.shares_memory(a, b)

@@ -1,9 +1,12 @@
+import inspect
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fournls
+from fournls import diagnostics, dynamics, spectrum
 from fournls import FourierState, ModifiedPhase, SpaceTimeField, Trajectory
 from fournls.gauge import GaugeEquivalenceReport
 
@@ -62,3 +65,18 @@ def test_overflow_policy_has_one_owner():
     calls = [(path.name, line) for path in sorted(Path(fournls.__file__).parent.glob("*.py"))
              for line in path.read_text().splitlines() if "errstate(" in line]
     assert calls == [("spectrum.py", 'quiet = np.errstate(over="ignore", invalid="ignore")')]
+
+
+def test_grid_layout_has_one_owner():
+    """The slot rule, mode n at grid slot n + N, lives only in spectrum.to_grid and
+    from_grid: dynamics and diagnostics index no grid themselves, grid_plan gives
+    only the grid length, and no function takes or builds a layout index."""
+    src = Path(fournls.__file__).parent
+    for name in ("dynamics.py", "diagnostics.py"):
+        text = (src / name).read_text()
+        assert [s for s in (".take(", "% m", ".T[") if s in text] == [], name
+    assert not [path.name for path in src.glob("*.py") if re.search(r"\bidx\b", path.read_text())]
+    assert type(spectrum.grid_plan(16)) is int
+    for f in (spectrum.to_grid, spectrum.from_grid, spectrum.grid_plan, dynamics._cubic_conv_raw,
+              dynamics._nonlinear_rhs_raw, dynamics._stepper, diagnostics.hamiltonian):
+        assert "idx" not in inspect.signature(f).parameters, f.__name__
