@@ -35,8 +35,6 @@ from .resonance import (
     ModifiedPhase,
     ResonanceQuadruple,
     enumerate_nonresonant,
-    g_tilde_value,
-    g_value,
     h_factored,
     h_value,
     normal_form_boundary,
@@ -49,7 +47,6 @@ from .diagnostics import (
     modulus_rate,
     smoothing_gap,
     symplectic_form,
-    trilinear_ratio,
     ysb_norm,
 )
 from .experiments import (

@@ -14,13 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import nonlinearity_nonresonant
-from .experiments import derive_rng
-from .resonance import ModifiedPhase, h_value
+from .resonance import ModifiedPhase
 from .spectrum import (
-    DyadicBlock,
     FourierState,
     Trajectory,
-    _int_arg,
     blocks_covering,
     c2c,
     grid_plan,
@@ -170,93 +167,3 @@ def ysb_norm(field: SpaceTimeField, s: float, b: float, z_part: bool = False) ->
     mag **= 2
     np.multiply(wn[None, :] * wt[:, None], mag, out=mag)
     return float(np.sqrt(np.sum(mag)))
-
-
-# ---------------------------------------------------------------------------
-# trilinear-ratio sampler
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModeField:
-    """Sparse space-time field: atoms (n, offset, amp) meaning
-
-        u(t, x) = sum amp * e^{i n x} e^{i t (n^4 + offset)},
-
-    i.e. each atom sits at modulation tau - n^4 = offset. Exact frequencies
-    make the modulation-weighted norms below free of time-grid aliasing.
-    """
-
-    atoms: tuple  # of (n: int, offset: float, amp: complex)
-
-    def x_norm(self, b: float) -> float:
-        """X^{0,b} mass: (sum <offset>^{2b} |amp|^2)^{1/2}, per unit time."""
-        total = sum((1.0 + o * o) ** b * abs(a) ** 2 for _, o, a in self.atoms)
-        return float(np.sqrt(total))
-
-
-def nonresonant_output_xnorm(u1: ModeField, u2: ModeField, u3: ModeField, out_block) -> float:
-    """X^{0,-1/2} norm of the output block of the non-resonant trilinear term.
-
-    Enumerates triples exactly: an output atom at frequency n4 = n1-n2+n3
-    carries modulation H(n1,n2,n3) + o1 - o2 + o3; atoms landing on the
-    same (n4, modulation) add coherently. Trivially resonant triples
-    (n1 = n2 or n2 = n3) are excluded.
-    """
-    acc: dict = {}
-    for n1, o1, a1 in u1.atoms:
-        for n2, o2, a2 in u2.atoms:
-            if n1 == n2:
-                continue
-            for n3, o3, a3 in u3.atoms:
-                if n2 == n3:
-                    continue
-                n4 = n1 - n2 + n3
-                if not out_block.contains(n4):
-                    continue
-                lam = float(h_value(n1, n2, n3)) + (o1 - o2 + o3)
-                key = (n4, lam)
-                acc[key] = acc.get(key, 0.0j) + (-1j) * a1 * np.conj(a2) * a3
-    total = sum((1.0 + lam * lam) ** -0.5 * abs(a) ** 2 for (_, lam), a in acc.items())
-    return float(np.sqrt(total))
-
-
-def _random_block_field(rng: np.random.Generator, block) -> ModeField:
-    freqs = [n for n in range(-2 * block.level, 2 * block.level + 1) if block.contains(n)]
-    chosen = rng.choice(len(freqs), size=min(6, len(freqs)), replace=False)
-    atoms = []
-    for i in sorted(chosen):
-        n = freqs[i]
-        for _ in range(2):
-            offset = float(rng.normal(scale=1.0))
-            amp = complex(rng.normal(), rng.normal())
-            atoms.append((n, offset, amp))
-    return ModeField(tuple(atoms))
-
-
-def trilinear_ratio(seed: int, n1_level: int, n2_level: int, n3_level: int,
-                    n4_level: int, trials: int) -> np.ndarray:
-    """Empirical sampler for the trilinear gain of the non-resonant term.
-
-    Per trial draws random dyadically-localized fields u1, u2, u3 and
-    returns the (trials,) array of
-
-        ratio = ||P_{N4} N_NR(u1,u2,u3)||_{X^{0,-1/2}}
-                / (N_max^exponent * prod_j ||u_j||_{X^{0,1/2}}),
-
-    with exponent -0.49 standing in for -1/2+. A monitoring statistic,
-    never a proof; deterministic under the seed.
-    """
-    trials = _int_arg("trials", trials, 1)
-    exponent = -0.49
-    blocks = tuple(DyadicBlock(lv) for lv in (n1_level, n2_level, n3_level, n4_level))
-    n_max_level = float(max(n1_level, n2_level, n3_level, n4_level))
-    ratios = np.empty(trials)
-    for t in range(trials):
-        rng = derive_rng(seed, t)
-        fields = [_random_block_field(rng, blocks[j]) for j in range(3)]
-        lhs = nonresonant_output_xnorm(fields[0], fields[1], fields[2], blocks[3])
-        rhs_norm = np.prod([f.x_norm(0.5) for f in fields])
-        scale = n_max_level**exponent * rhs_norm
-        ratios[t] = lhs / scale if scale > 0 else 0.0
-    return ratios

@@ -13,7 +13,7 @@ size. ``_nonresonant`` enumerates the non-resonant set once, as int64
 arrays; ``normal_form_boundary`` evaluates H in int64 there, which is exact
 while 48 n_max^4 < 2^63 (far beyond any grid that fits in memory), so its
 float64 divisor equals float(h_value(...)) bit for bit. ``ModifiedPhase``
-and the G functions add float64 weights |c0(n)|^2.
+adds the float64 weights |c0(n)|^2.
 """
 from __future__ import annotations
 
@@ -111,45 +111,6 @@ class ModifiedPhase:
                 f"n_max must be in 0..{self.reference.n_max}, got {n_max}")
         c0 = resize(self.reference.coeffs, n_max)
         return np.arange(-n_max, n_max + 1, dtype=np.float64) ** 4 + np.abs(c0) ** 2
-
-
-def g_value(n1: int, n2: int, n3: int, phase: ModifiedPhase) -> float:
-    """Resonance function of the data-adapted evolution:
-
-    G = H(n1,n2,n3) + |c0(n1)|^2 - |c0(n2)|^2 + |c0(n3)|^2 - |c0(n)|^2.
-    """
-    n = n1 - n2 + n3
-    corr = (
-        phase.weight(n1) - phase.weight(n2) + phase.weight(n3) - phase.weight(n)
-    )
-    return float(h_value(n1, n2, n3)) + corr
-
-
-def g_tilde_value(
-    n11: int, n12: int, n13: int, n2: int, n3: int, phase: ModifiedPhase
-) -> float:
-    """Six-term resonance function of the twice-iterated normal form.
-
-    With n1 = n11 - n12 + n13 and n = n1 - n2 + n3,
-
-    G~ = (n1-n2)(n2-n3)(n1^2+n2^2+n3^2+n^2+2(n1+n3)^2)
-       + (n11-n12)(n12-n13)(n11^2+n12^2+n13^2+n1^2+2(n11+n13)^2)
-       + |c0(n11)|^2 - |c0(n12)|^2 + |c0(n13)|^2 - |c0(n2)|^2
-       + |c0(n3)|^2 - |c0(n)|^2.
-    """
-    n1 = n11 - n12 + n13
-    n = n1 - n2 + n3
-    outer = h_factored(n1, n2, n3)
-    inner = h_factored(n11, n12, n13)
-    corr = (
-        phase.weight(n11)
-        - phase.weight(n12)
-        + phase.weight(n13)
-        - phase.weight(n2)
-        + phase.weight(n3)
-        - phase.weight(n)
-    )
-    return float(outer + inner) + corr
 
 
 @quiet

@@ -5,16 +5,13 @@ import pytest
 
 from conftest import random_state
 from fournls.diagnostics import (
-    ModeField,
     SpaceTimeField,
     dyadic_gap_profile,
     hamiltonian,
     mass,
     modulus_rate,
-    nonresonant_output_xnorm,
     smoothing_gap,
     symplectic_form,
-    trilinear_ratio,
     ysb_norm,
 )
 from fournls.dynamics import (
@@ -30,8 +27,7 @@ from fournls.dynamics import (
     step,
 )
 from fournls.resonance import ModifiedPhase, normal_form_boundary
-from fournls.spectrum import (DyadicBlock, FourierState, Trajectory, blocks_covering, c2c,
-                              resize)
+from fournls.spectrum import FourierState, Trajectory, blocks_covering, c2c, resize
 
 
 class TestMassHamiltonian:
@@ -349,51 +345,3 @@ class TestYsbNorm:
         tr = self._traj()
         field = SpaceTimeField(tr, "cosine")
         assert ysb_norm(field, 0.0, 1.0) >= ysb_norm(field, 0.0, 0.5)
-
-
-class TestModeFieldTrilinear:
-    def test_x_norm_single_atom(self):
-        f = ModeField(((3, 2.0, 1.5 + 0j),))
-        assert np.isclose(f.x_norm(0.5), 1.5 * (1 + 4.0) ** 0.25)
-
-    def test_output_norm_manual_single_triple(self):
-        from fournls.resonance import h_value
-
-        u1 = ModeField(((1, 0.0, 1.0 + 0j),))
-        u2 = ModeField(((0, 0.0, 1.0 + 0j),))
-        u3 = ModeField(((1, 0.0, 1.0 + 0j),))
-        out = DyadicBlock(2)  # contains n4 = 2
-        lam = float(h_value(1, 0, 1))
-        expected = (1 + lam * lam) ** -0.25  # |amp|=1, b=-1/2
-        assert np.isclose(nonresonant_output_xnorm(u1, u2, u3, out), expected)
-
-    def test_resonant_triples_excluded(self):
-        u = ModeField(((1, 0.0, 1.0 + 0j),))
-        # n1 = n2 = n3 = 1 is trivially resonant: contributes nothing
-        assert nonresonant_output_xnorm(u, u, u, DyadicBlock(1)) == 0.0
-
-    def test_coherent_accumulation(self):
-        # two atoms at the same output (n4, lambda) must add, not quadrature
-        u1 = ModeField(((1, 0.0, 1.0 + 0j), (1, 0.0, 1.0 + 0j)))
-        u2 = ModeField(((0, 0.0, 1.0 + 0j),))
-        u3 = ModeField(((1, 0.0, 1.0 + 0j),))
-        single = nonresonant_output_xnorm(
-            ModeField(((1, 0.0, 1.0 + 0j),)), u2, u3, DyadicBlock(2))
-        double = nonresonant_output_xnorm(u1, u2, u3, DyadicBlock(2))
-        assert np.isclose(double, 2.0 * single, rtol=1e-12)
-
-    def test_trilinear_ratio_deterministic(self):
-        a = trilinear_ratio(3, 4, 4, 8, 8, trials=5)
-        b = trilinear_ratio(3, 4, 4, 8, 8, trials=5)
-        assert np.array_equal(a, b)
-        assert a.shape == (5,)
-        assert a.max() >= a.mean() >= 0.0
-
-    def test_trilinear_ratio_distinct_seeds(self):
-        a = trilinear_ratio(3, 4, 4, 8, 8, trials=5)
-        b = trilinear_ratio(4, 4, 4, 8, 8, trials=5)
-        assert not np.array_equal(a, b)
-
-    def test_trilinear_ratio_validates_trials(self):
-        with pytest.raises(ValueError):
-            trilinear_ratio(0, 1, 1, 1, 1, trials=0)

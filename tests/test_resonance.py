@@ -12,8 +12,6 @@ from fournls.resonance import (
     ResonanceQuadruple,
     _nonresonant,
     enumerate_nonresonant,
-    g_tilde_value,
-    g_value,
     h_factored,
     h_value,
     normal_form_boundary,
@@ -194,37 +192,6 @@ class TestModifiedPhase:
         for radius in (n_max, n_max // 2):
             expected = [phase.mu(n) for n in range(-radius, radius + 1)]
             assert phase.mu_array(radius).tolist() == expected
-
-
-class TestGValues:
-    def test_zero_reference_reduces_to_h(self):
-        phase = ModifiedPhase(FourierState.zeros(4))
-        assert g_value(2, 1, 0, phase) == h_value(2, 1, 0)
-
-    def test_constant_profile_corrections_cancel(self):
-        u = FourierState(3, np.ones(7, dtype=complex))
-        phase = ModifiedPhase(u)
-        assert g_value(2, 1, 0, phase) == h_value(2, 1, 0)
-
-    def test_single_mode_correction(self):
-        u = FourierState.from_modes(3, {2: 2.0})
-        phase = ModifiedPhase(u)
-        assert g_value(2, 1, 0, phase) == 14 + 4.0
-
-    def test_g_tilde_zero_reference_sum_of_factored_terms(self):
-        phase = ModifiedPhase(FourierState.zeros(8))
-        n11, n12, n13, n2, n3 = 3, 1, 2, 0, -1
-        n1 = n11 - n12 + n13
-        expected = h_factored(n11, n12, n13) + h_factored(n1, n2, n3)
-        assert g_tilde_value(n11, n12, n13, n2, n3, phase) == expected
-
-    def test_g_tilde_all_equal_vanishes(self):
-        phase = ModifiedPhase(FourierState.zeros(4))
-        assert g_tilde_value(1, 1, 1, 1, 1, phase) == 0.0
-
-    def test_g_tilde_worked_example(self):
-        phase = ModifiedPhase(FourierState.zeros(4))
-        assert g_tilde_value(1, 0, 0, 0, 0, phase) == 0.0
 
 
 class TestNormalFormBoundary:

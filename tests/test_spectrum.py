@@ -15,7 +15,6 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from conftest import random_state
 from fournls import spectrum
-from fournls.diagnostics import trilinear_ratio
 from fournls.dynamics import FULL, IntegratorSpec, integrate
 from fournls.experiments import (ProfileKind, ProfileSpec, run_approximation_study,
                                  run_perturbation_study, run_squeeze_probe)
@@ -103,8 +102,6 @@ INT_ARGS = {  # case: (name in the error, least or None, call with the argument 
     "squeeze-N": ("N", 0, lambda x: squeeze(n0=0, N=x)),
     "squeeze-n0": ("n0", None, lambda x: squeeze(n0=x)),
     "squeeze-seed": ("seed", 0, lambda x: squeeze(seed=x)),
-    "trilinear-trials": ("trials", 1, lambda x: trilinear_ratio(0, 1, 1, 1, 1, x)),
-    "trilinear-seed": ("seed", 0, lambda x: trilinear_ratio(x, 1, 1, 1, 1, 1)),
     "enumerate-n": ("n", None, lambda x: enumerate_nonresonant(x, 2)),
     "enumerate-n_max": ("n_max", None, lambda x: enumerate_nonresonant(0, x)),
     "normal_form_boundary-n": ("n", None, lambda x: normal_form_boundary(random_state(2), x)),
