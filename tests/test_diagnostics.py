@@ -160,6 +160,15 @@ class TestSymplecticForm:
         assert np.isclose(symplectic_form(u.with_coeffs(2.5 * u.coeffs), v),
                           2.5 * symplectic_form(u, v), rtol=1e-13)
 
+    def test_antisymmetry(self):
+        u, v = random_state(4, seed=9), random_state(4, seed=10)
+        assert np.isclose(symplectic_form(v, u), -symplectic_form(u, v), rtol=1e-13)
+
+    def test_invariant_under_multiplication_by_i(self):
+        u, v = random_state(4, seed=11), random_state(4, seed=12)
+        iu, iv = u.with_coeffs(1j * u.coeffs), v.with_coeffs(1j * v.coeffs)
+        assert np.isclose(symplectic_form(iu, iv), symplectic_form(u, v), rtol=1e-13)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             symplectic_form(random_state(2), random_state(3))

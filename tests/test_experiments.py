@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ class TestDerivedRng:
         c = derive_rng(8, "task", 3).normal(size=4)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_string_key_is_its_crc32(self):
+        a = derive_rng(7, "task", 3).normal(size=4)
+        b = derive_rng(7, zlib.crc32(b"task"), 3).normal(size=4)
+        assert np.array_equal(a, b)
+
+    def test_numpy_integer_seed_equals_int(self):
+        a = derive_rng(np.int64(7), "task").normal(size=4)
+        b = derive_rng(7, "task").normal(size=4)
+        assert np.array_equal(a, b)
 
 
 class TestProfiles:

@@ -56,6 +56,21 @@ class TestResonanceFunction:
         assert h_value(n, 0, -n) == 2 * n**4
         assert h_factored(n, n - 1, 0) == h_value(n, n - 1, 0)
 
+    @given(ints, ints, ints, ints, ints)
+    def test_nested_mismatch_telescopes(self, n11, n12, n13, n2, n3):
+        # substituting n1 = n11 - n12 + n13 into H(n1, n2, n3): the n1^4 terms cancel
+        n1 = n11 - n12 + n13
+        n = n1 - n2 + n3
+        expected = n11**4 - n12**4 + n13**4 - n2**4 + n3**4 - n**4
+        assert h_value(n11, n12, n13) + h_value(n1, n2, n3) == expected
+
+    def test_factored_exact_on_int64_arrays(self):
+        # normal_form_boundary evaluates h_factored on the int64 arrays of _nonresonant
+        n1, n2, n3 = _nonresonant(5, 40)
+        h = h_factored(n1, n2, n3)
+        assert h.dtype == np.int64
+        assert h.tolist() == [h_value(*t) for t in zip(n1.tolist(), n2.tolist(), n3.tolist())]
+
 
 class TestEnumeration:
     def test_quadruple_validation(self):
@@ -192,6 +207,33 @@ class TestModifiedPhase:
         for radius in (n_max, n_max // 2):
             expected = [phase.mu(n) for n in range(-radius, radius + 1)]
             assert phase.mu_array(radius).tolist() == expected
+
+    def test_mu_array_at_radius_zero(self):
+        phase = ModifiedPhase(FourierState.from_modes(2, {0: 3 - 4j, 1: 0.5}))
+        assert phase.mu_array(0).tolist() == [25.0]
+
+
+def _modified_mismatch(phase, n1, n2, n3):
+    return phase.mu(n1) - phase.mu(n2) + phase.mu(n3) - phase.mu(n1 - n2 + n3)
+
+
+class TestModifiedMismatch:
+    """mu(n1) - mu(n2) + mu(n3) - mu(n) is H plus the four weights |c0|^2."""
+
+    def test_zero_reference_reduces_to_h(self):
+        phase = ModifiedPhase(FourierState.zeros(6))
+        for n1, n2, n3 in itertools.product(range(-2, 3), repeat=3):
+            assert _modified_mismatch(phase, n1, n2, n3) == h_value(n1, n2, n3)
+
+    def test_constant_profile_weights_cancel(self):
+        phase = ModifiedPhase(FourierState(6, np.ones(13, dtype=complex)))
+        for n1, n2, n3 in itertools.product(range(-2, 3), repeat=3):
+            assert _modified_mismatch(phase, n1, n2, n3) == h_value(n1, n2, n3)
+
+    def test_single_mode_weight_enters_once(self):
+        phase = ModifiedPhase(FourierState.from_modes(3, {2: 2.0}))
+        assert _modified_mismatch(phase, 2, 1, 0) == h_value(2, 1, 0) + 4.0 == 18.0
+        assert _modified_mismatch(phase, 0, 1, 2) == h_value(0, 1, 2) + 4.0
 
 
 class TestNormalFormBoundary:

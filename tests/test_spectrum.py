@@ -15,10 +15,10 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from conftest import random_state
 from fournls import spectrum
-from fournls.dynamics import FULL, IntegratorSpec, integrate
-from fournls.experiments import (ProfileKind, ProfileSpec, run_approximation_study,
+from fournls.dynamics import FULL, IntegratorSpec, integrate, integrate_batch
+from fournls.experiments import (ProfileKind, ProfileSpec, derive_rng, run_approximation_study,
                                  run_perturbation_study, run_squeeze_probe)
-from fournls.gauge import gauge_apply
+from fournls.gauge import gauge_apply, gauge_equivalence_check
 from fournls.resonance import (ResonanceQuadruple, enumerate_nonresonant, normal_form_boundary,
                                resonance_table_rows)
 from fournls.spectrum import (
@@ -88,6 +88,11 @@ INT_ARGS = {  # case: (name in the error, least or None, call with the argument 
     "ProfileSpec-mode": ("mode", None, lambda x: ProfileSpec(ProfileKind.SINGLE_MODE, mode=x)),
     "integrate-sample_stride": ("sample_stride", 1, lambda x: integrate(
         FourierState.zeros(2), 0.004, IntegratorSpec(dt=1e-3), FULL, x)),
+    "integrate_batch-sample_stride": ("sample_stride", 1, lambda x: integrate_batch(
+        np.zeros((2, 5)), 0.004, IntegratorSpec(dt=1e-3), FULL, x)),
+    "gauge-sample_stride": ("sample_stride", 1, lambda x: gauge_equivalence_check(
+        FourierState.zeros(2), 0.004, 1e-3, sample_stride=x)),
+    "derive_rng-seed": ("seed", 0, lambda x: derive_rng(x, "task")),
     "approx-ladder": ("N ladder entry", None,
                       lambda x: run_approximation_study(PROFILE, [x, 4], 2, 0.002, 1e-3)),
     "approx-ref_factor": ("ref_factor", 2,
