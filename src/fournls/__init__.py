@@ -4,11 +4,9 @@ fourth-order cubic NLS and its Wick-ordered variant."""
 from types import ModuleType as _ModuleType
 
 from .spectrum import (
-    DyadicBlock,
     FileFormatError,
     FourierState,
     Trajectory,
-    blocks_covering,
     load_state,
     load_trajectory,
     mass,

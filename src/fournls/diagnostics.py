@@ -18,7 +18,6 @@ from .resonance import ModifiedPhase
 from .spectrum import (
     FourierState,
     Trajectory,
-    blocks_covering,
     c2c,
     grid_plan,
     mass,
@@ -71,12 +70,15 @@ def _modulus_gap(traj: Trajectory) -> np.ndarray:
 def dyadic_gap_profile(traj: Trajectory, s: float) -> dict:
     """Per dyadic block, sum_{n in I_N} <n>^{2s} | |c_n(t)|^2 - |c_n(0)|^2 |.
 
-    Returns {level: array over samples}.
+    The levels are N = 2^j, j = 0 .. n_max.bit_length(), with I_1 = {|n| <= 1}
+    and I_N = {N/2 <= |n| <= 2N} for N >= 2. Returns {N: array over samples}.
     """
     n = np.arange(-traj.n_max, traj.n_max + 1.0)
     gap = _modulus_gap(traj)
     gap *= (1.0 + n**2) ** s
-    return {b.level: np.sum(gap[:, b.contains(n)], axis=1) for b in blocks_covering(traj.n_max)}
+    levels = (2**j for j in range(traj.n_max.bit_length() + 1))
+    return {N: np.sum(gap[:, (N // 2 <= abs(n)) & (abs(n) <= (2 * N if N > 1 else 1))], axis=1)
+            for N in levels}
 
 
 @quiet

@@ -90,18 +90,12 @@ class ModifiedPhase:
 
     reference: FourierState
 
-    @quiet
-    def weight(self, n: int) -> float:
-        """|c0(n)|^2, the data-dependent part of mu(n)."""
-        if abs(n) > self.reference.n_max:
-            raise ValueError(
-                f"frequency {n} outside reference support |n| <= {self.reference.n_max}"
-            )
-        # mu_array's np.abs(c0) ** 2 squares; on a scalar, ** 2 would call pow
-        return float(np.square(np.abs(self.reference.mode(n))))
-
     def mu(self, n: int) -> float:
-        return float(n) ** 4 + self.weight(n)
+        """mu(n), read off mu_array, for an integer |n| <= reference n_max."""
+        n, n_max = _int_arg("n", n), self.reference.n_max
+        if abs(n) > n_max:
+            raise ValueError(f"frequency {n} outside reference support |n| <= {n_max}")
+        return float(self.mu_array(n_max)[n + n_max])
 
     @quiet
     def mu_array(self, n_max: int) -> np.ndarray:

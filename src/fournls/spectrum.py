@@ -81,6 +81,7 @@ def as_rows(c, name: str) -> np.ndarray:
 def resize(c, n_max: int) -> np.ndarray:
     """Amplitude rows c, shape (..., 2*N+1), cropped or zero-padded to
     radius n_max; each kept mode stays at its frequency. A crop is a view."""
+    n_max = _int_arg("n_max", n_max, 0)
     k = (c.shape[-1] - 1) // 2 - n_max
     if k >= 0:
         return c[..., k : c.shape[-1] - k]
@@ -110,10 +111,11 @@ class FourierState:
 
     @classmethod
     def zeros(cls, n_max: int) -> "FourierState":
-        return cls(n_max, np.zeros(2 * n_max + 1, dtype=np.complex128))
+        return cls.from_modes(n_max, {})
 
     @classmethod
     def from_modes(cls, n_max: int, modes: dict[int, complex]) -> "FourierState":
+        n_max = _int_arg("n_max", n_max, 0)
         c = np.zeros(2 * n_max + 1, dtype=np.complex128)
         for n, a in modes.items():
             if abs(n) > n_max:
@@ -178,30 +180,6 @@ class Trajectory:
     def coeff_array(self) -> np.ndarray:
         """The read-only (num_samples, 2*n_max+1) array of amplitudes."""
         return self.coeffs
-
-
-@dataclass(frozen=True)
-class DyadicBlock:
-    """Frequency annulus I_1 = [-1,1], I_N = [-2N,-N/2] u [N/2,2N] for N >= 2."""
-
-    level: int
-
-    def __post_init__(self):
-        n = self.level
-        if not _is_int(n) or n < 1 or (n & (n - 1)) != 0:
-            raise ValueError(f"level must be a power of two >= 1, got {n}")
-
-    def contains(self, n):
-        """Whether n lies in the block: a bool for an int, an elementwise
-        mask for an integer array."""
-        lo, hi = (0, 1) if self.level == 1 else (self.level // 2, 2 * self.level)
-        return (lo <= abs(n)) & (abs(n) <= hi)
-
-
-def blocks_covering(n_max: int) -> list[DyadicBlock]:
-    """Dyadic blocks whose union covers [-n_max, n_max]: levels 1, 2, ...,
-    up to the largest N with N/2 <= n_max."""
-    return [DyadicBlock(2**j) for j in range(max(_int_arg("n_max", n_max), 0).bit_length() + 1)]
 
 
 def to_grid(c, m: int) -> np.ndarray:

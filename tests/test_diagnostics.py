@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_state
 from fournls.diagnostics import (
@@ -27,7 +29,7 @@ from fournls.dynamics import (
     step,
 )
 from fournls.resonance import ModifiedPhase, normal_form_boundary
-from fournls.spectrum import FourierState, Trajectory, blocks_covering, c2c, resize
+from fournls.spectrum import FourierState, Trajectory, c2c, resize
 
 
 class TestMassHamiltonian:
@@ -74,9 +76,9 @@ class TestMassHamiltonian:
         (hamiltonian, float),
         (lambda u: symplectic_form(u, u.with_coeffs(1j * u.coeffs)), float),
         (lambda u: normal_form_boundary(u, 0), complex),
-        (lambda u: ModifiedPhase(u).weight(0), float),
+        (lambda u: ModifiedPhase(u).mu(0), float),
         (lambda u: ModifiedPhase(u).mu_array(3), np.ndarray),
-    ], ids=["mass", "hamiltonian", "symplectic_form", "normal_form_boundary", "weight",
+    ], ids=["mass", "hamiltonian", "symplectic_form", "normal_form_boundary", "mu",
             "mu_array"])
     def test_overflow_gives_a_nonfinite_float_without_warning(self, f, typ):
         """A float, or the complex or array the function returns, all non-finite."""
@@ -207,6 +209,19 @@ class TestSmoothingGap:
             assert np.isclose(rate[n + 4], expected, atol=1e-13)
 
 
+def in_block(N, n):
+    """The block rule: I_1 = {|n| <= 1}, I_N = {N/2 <= |n| <= 2N} for N >= 2."""
+    return abs(n) <= 1 if N == 1 else N // 2 <= abs(n) <= 2 * N
+
+
+def block_members(n_max):
+    """{N: the frequencies of block I_N}, read off dyadic_gap_profile at s = 0:
+    sample k + 1 moves mode k - n_max alone, by a unit gap."""
+    rows = np.vstack([np.zeros(2 * n_max + 1), np.eye(2 * n_max + 1)])
+    prof = dyadic_gap_profile(Trajectory(0.0, 1.0, rows), 0.0)
+    return {N: {int(k) - n_max for k in np.flatnonzero(series[1:])} for N, series in prof.items()}
+
+
 class TestDyadicGapProfile:
     def _traj(self):
         u0 = random_state(10, seed=4)
@@ -222,23 +237,44 @@ class TestDyadicGapProfile:
         prof = dyadic_gap_profile(tr, 0.75)
         arr = np.abs(tr.coeffs) ** 2
         gap = np.abs(arr - arr[0])
-        for block in blocks_covering(tr.n_max):
+        assert list(prof) == [1, 2, 4, 8, 16]
+        for level, series in prof.items():
             expected = np.zeros(len(tr))
             for i, n in enumerate(range(-tr.n_max, tr.n_max + 1)):
-                if block.contains(n):
+                if in_block(level, n):
                     expected += (1.0 + n * n) ** 0.75 * gap[:, i]
-            assert np.allclose(prof[block.level], expected, atol=1e-15)
+            assert np.allclose(series, expected, atol=1e-15)
 
     def test_single_mode_localized(self):
         u0 = FourierState.from_modes(10, {5: 1.0})
         states = (u0, u0.with_coeffs(u0.coeffs * 0.5))
         tr = Trajectory(0.0, 0.1, [s.coeffs for s in states])
-        prof = dyadic_gap_profile(tr, 0.0)
-        for block in blocks_covering(10):
-            if block.contains(5):
-                assert prof[block.level][1] > 0
+        for level, series in dyadic_gap_profile(tr, 0.0).items():
+            if in_block(level, 5):
+                assert series[1] > 0
             else:
-                assert prof[block.level][1] == 0.0
+                assert series[1] == 0.0
+
+    def test_levels(self):
+        """N = 2^j up to the largest N with N/2 <= n_max."""
+        for n_max in range(301):
+            prof = dyadic_gap_profile(Trajectory(0.0, 1.0, np.zeros((1, 2 * n_max + 1))), 0.0)
+            assert list(prof) == [2**j for j in range(12) if 2**j // 2 <= n_max]
+
+    @given(st.integers(min_value=0, max_value=200))
+    @settings(max_examples=30, deadline=None)
+    def test_blocks_cover_every_frequency(self, n_max):
+        members = block_members(n_max)
+        for n in range(-n_max, n_max + 1):
+            hits = sum(n in block for block in members.values())
+            # closed intervals [N/2, 2N] triple up exactly at powers of two
+            assert 1 <= hits <= 3
+
+    def test_unit_block(self):
+        assert block_members(3)[1] == {-1, 0, 1}
+
+    def test_annulus(self):
+        assert block_members(10)[4] == {n for n in range(-8, 9) if abs(n) >= 2}
 
 
 class TestYsbNorm:

@@ -13,8 +13,8 @@ from fournls.gauge import GaugeEquivalenceReport
 
 PUBLIC = {
     # spectrum
-    "DyadicBlock", "FileFormatError", "FourierState", "Trajectory", "blocks_covering",
-    "load_state", "load_trajectory", "mass", "save_state", "save_trajectory",
+    "FileFormatError", "FourierState", "Trajectory", "load_state", "load_trajectory", "mass",
+    "save_state", "save_trajectory",
     # dynamics
     "FULL", "WICK", "EquationKind", "IntegratorSpec", "Kind", "NumericFailure", "Scheme",
     "cubic_convolution", "exact_resonant_flow", "integrate", "integrate_batch",

@@ -180,17 +180,10 @@ class TestModifiedPhase:
         with pytest.raises(ValueError):
             phase.mu(3)
         with pytest.raises(ValueError):
-            phase.weight(3)
+            phase.mu(-3)
         for n_max in (3, -1, -2):
             with pytest.raises(ValueError, match="n_max must be in 0..2"):
                 phase.mu_array(n_max)
-
-    def test_weight_is_exact_modulus_squared(self):
-        # exactly |c0(n)|^2: going through mu(n) - n^4 loses digits at n = 200
-        u = FourierState.from_modes(200, {200: 0.01, -3: 0.5 + 0.25j, 7: 1e-9})
-        phase = ModifiedPhase(u)
-        for n in range(-200, 201):
-            assert phase.weight(n) == abs(u.mode(n)) ** 2
 
     def test_mu_array_matches_scalar(self):
         u = FourierState.from_modes(3, {-1: 0.5, 2: 1.0})
@@ -205,8 +198,11 @@ class TestModifiedPhase:
         c = rng.normal(size=2 * n_max + 1) + 1j * rng.normal(size=2 * n_max + 1)
         phase = ModifiedPhase(FourierState(n_max, c))
         for radius in (n_max, n_max // 2):
-            expected = [phase.mu(n) for n in range(-radius, radius + 1)]
+            # n^4 + |c0(n)|^2 per mode, squared with np.square as mu_array does
+            expected = [float(n) ** 4 + float(np.square(np.abs(c[n + n_max])))
+                        for n in range(-radius, radius + 1)]
             assert phase.mu_array(radius).tolist() == expected
+            assert [phase.mu(n) for n in range(-radius, radius + 1)] == expected
 
     def test_mu_array_at_radius_zero(self):
         phase = ModifiedPhase(FourierState.from_modes(2, {0: 3 - 4j, 1: 0.5}))

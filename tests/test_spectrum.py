@@ -19,14 +19,12 @@ from fournls.dynamics import FULL, IntegratorSpec, integrate, integrate_batch
 from fournls.experiments import (ProfileKind, ProfileSpec, derive_rng, run_approximation_study,
                                  run_perturbation_study, run_squeeze_probe)
 from fournls.gauge import gauge_apply, gauge_equivalence_check
-from fournls.resonance import (ResonanceQuadruple, enumerate_nonresonant, normal_form_boundary,
-                               resonance_table_rows)
+from fournls.resonance import (ModifiedPhase, ResonanceQuadruple, enumerate_nonresonant,
+                               normal_form_boundary, resonance_table_rows)
 from fournls.spectrum import (
-    DyadicBlock,
     FileFormatError,
     FourierState,
     Trajectory,
-    blocks_covering,
     c2c,
     from_grid,
     grid_plan,
@@ -84,6 +82,10 @@ def squeeze(n0=1, N=4, samples=4, seed=0):
 
 INT_ARGS = {  # case: (name in the error, least or None, call with the argument x)
     "FourierState-n_max": ("n_max", 0, lambda x: FourierState(x, np.zeros(3))),
+    "FourierState.zeros-n_max": ("n_max", 0, FourierState.zeros),
+    "FourierState.from_modes-n_max": ("n_max", 0, lambda x: FourierState.from_modes(x, {})),
+    "truncate_to-n_max": ("n_max", 0, lambda x: random_state(2).truncate_to(x)),
+    "resize-n_max": ("n_max", 0, lambda x: spectrum.resize(np.zeros((2, 5)), x)),
     "ProfileSpec-seed": ("seed", 0, lambda x: ProfileSpec(ProfileKind.EXP_DECAY, seed=x)),
     "ProfileSpec-mode": ("mode", None, lambda x: ProfileSpec(ProfileKind.SINGLE_MODE, mode=x)),
     "integrate-sample_stride": ("sample_stride", 1, lambda x: integrate(
@@ -113,7 +115,9 @@ INT_ARGS = {  # case: (name in the error, least or None, call with the argument 
     "ResonanceQuadruple-n1": ("n1", None, lambda x: ResonanceQuadruple(x, 0, 1)),
     "ResonanceQuadruple-n2": ("n2", None, lambda x: ResonanceQuadruple(1, x, -1)),
     "ResonanceQuadruple-n3": ("n3", None, lambda x: ResonanceQuadruple(1, 0, x)),
-    "blocks_covering-n_max": ("n_max", None, blocks_covering),
+    # mu_array's own range check names 0..n_max; its integer check is resize's
+    "mu_array-n_max": ("n_max", None, lambda x: ModifiedPhase(random_state(3)).mu_array(x)),
+    "mu-n": ("n", None, lambda x: ModifiedPhase(random_state(2)).mu(x)),
     "resonance_table_rows-n_max": ("n_max", 0, resonance_table_rows),
 }
 
@@ -184,44 +188,6 @@ class TestFourierState:
         grid = to_grid(u.coeffs, m)
         assert np.isclose(np.sum(np.abs(grid) ** 2) / m, np.linalg.norm(u.coeffs) ** 2,
                           rtol=1e-12, atol=1e-12)
-
-
-class TestDyadicBlocks:
-    def test_level_must_be_power_of_two(self):
-        for bad in (0, 3, 6, -2, True, 2.0):
-            with pytest.raises(ValueError, match="level must be a power of two"):
-                DyadicBlock(bad)
-
-    def test_unit_block(self):
-        b = DyadicBlock(1)
-        assert all(b.contains(n) for n in (-1, 0, 1))
-        assert not b.contains(2)
-
-    def test_annulus(self):
-        b = DyadicBlock(4)
-        assert b.contains(2) and b.contains(8) and b.contains(-5)
-        assert not b.contains(1) and not b.contains(9) and not b.contains(0)
-
-    @pytest.mark.parametrize("level", [1, 2, 4, 8, 16])
-    def test_contains_on_an_array_equals_the_int_loop(self, level):
-        b = DyadicBlock(level)
-        ns = np.arange(-40, 41)
-        assert b.contains(ns).tolist() == [b.contains(int(n)) for n in ns]
-        assert type(b.contains(3)) is bool
-
-    def test_blocks_covering_levels(self):
-        for n_max in range(301):
-            levels = [b.level for b in blocks_covering(n_max)]
-            assert levels == [2**j for j in range(12) if 2**j // 2 <= n_max]
-
-    @given(st.integers(min_value=0, max_value=200))
-    @settings(max_examples=30, deadline=None)
-    def test_blocks_cover_every_frequency(self, n_max):
-        blocks = blocks_covering(n_max)
-        for n in range(-n_max, n_max + 1):
-            hits = sum(b.contains(n) for b in blocks)
-            # closed intervals [N/2, 2N] triple up exactly at powers of two
-            assert 1 <= hits <= 3
 
 
 class TestGridSizes:
